@@ -8,7 +8,8 @@ count M, with diagnostics for the Poisson and normal limit regimes.
 __version__ = "0.1.0"
 
 from .allocation import (AllocationOutcome, counts_from_sequence, full_counts,
-                         overflow_from_counts, run_trial, streaming_overflow)
+                         overflow_from_counts, overflow_stats, run_trial,
+                         streaming_overflow)
 from .asymptotics import RegimeReport, geometric_scaled_moment, poisson_pmf, regime_report
 from .distributions import (BoxDistribution, Custom, Geometric, Uniform,
                             p_star, parse_dist_spec, power_moment, sample_box)
@@ -25,7 +26,7 @@ __all__ = [
     "RegimeReport", "Uniform", "binomial_tail", "chi_square_poisson",
     "counts_from_sequence", "exact_distribution", "exact_mean_overflow",
     "exact_mean_via_counts", "full_counts", "geometric_scaled_moment",
-    "ks_normal", "nod_check", "nod_joint_table", "overflow_from_counts",
+    "ks_normal", "nod_check", "nod_joint_table", "overflow_from_counts", "overflow_stats",
     "p_star", "parse_dist_spec", "poisson_pmf", "power_moment",
     "regime_report", "run_experiment", "run_trial", "sample_box",
     "sequence_enumeration_distribution", "streaming_overflow", "tail_bound",

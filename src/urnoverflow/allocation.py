@@ -1,11 +1,10 @@
 """One allocation trial: n balls into capacity-r urns, overflow and full-urn stats.
 
-The overflow is computed two independent ways that must agree exactly:
-
-* streaming: ball k overflows iff its urn already held >= r balls when the
-  ball arrived (implemented via per-ball prior-occurrence ranks, so it is a
-  function of the ordered ball sequence);
-* count-based: n - sum_m min(count_m, r), a pure function of final counts.
+One sort-and-shift kernel gives all three: on the sorted draw s, a ball has at
+least k earlier urn-mates exactly when s[i] == s[i-k], so the overflow V_k at
+capacity k counts those positions (V_0 = n), and L_r = V_{r-1} - V_r and
+M_r = V_{r-1} - 2 V_r + V_{r+1}.  The count route (n - sum_m min(count_m, r),
+#(count >= r), #(count == r) on the final counts) is its independent check.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from .distributions import BoxDistribution
 __all__ = [
     "AllocationOutcome",
     "run_trial",
+    "overflow_stats",
     "overflow_from_counts",
     "full_counts",
     "streaming_overflow",
@@ -45,29 +45,30 @@ def counts_from_sequence(balls: np.ndarray) -> dict:
     return {int(u): int(c) for u, c in zip(urns, counts)}
 
 
-def _occurrence_ranks(balls: np.ndarray) -> np.ndarray:
-    """For each ball, how many earlier balls chose the same urn."""
-    balls = np.asarray(balls)
-    n = balls.size
-    order = np.argsort(balls, kind="stable")
-    s = balls[order]
-    change = np.empty(n, dtype=bool)
-    if n:
-        change[0] = True
-        change[1:] = s[1:] != s[:-1]
-    starts = np.flatnonzero(change)
-    group = np.cumsum(change) - 1
-    ranks_sorted = np.arange(n) - starts[group]
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = ranks_sorted
-    return ranks
+def _shifted_matches(s: np.ndarray, k: int) -> int:
+    """V_k of a sorted draw s: positions i with s[i] == s[i-k], and V_0 = n."""
+    if k == 0:
+        return s.size
+    return int(np.count_nonzero(s[k:] == s[:-k]))
+
+
+def overflow_stats(balls: np.ndarray, r: int) -> tuple[int, int, int]:
+    """(V, L, M) at capacity r from one sort of the draw.
+
+    V = V_r, L = V_{r-1} - V_r and M = V_{r-1} - 2 V_r + V_{r+1}.
+    """
+    if r < 1:
+        raise ValueError("capacity r must be >= 1")
+    s = np.sort(balls)
+    v_lo, v, v_hi = (_shifted_matches(s, k) for k in (r - 1, r, r + 1))
+    return v, v_lo - v, v_lo - 2 * v + v_hi
 
 
 def streaming_overflow(balls: np.ndarray, r: int) -> int:
     """Number of balls whose urn already held >= r balls on arrival."""
     if r < 1:
         raise ValueError("capacity r must be >= 1")
-    return int(np.count_nonzero(_occurrence_ranks(balls) >= r))
+    return _shifted_matches(np.sort(balls), r)
 
 
 def overflow_from_counts(counts, n: int, r: int) -> int:
@@ -95,8 +96,8 @@ def run_trial(dist: BoxDistribution, n: int, r: int, rng: np.random.Generator,
               keep_sequence: bool = False) -> AllocationOutcome:
     """Throw n balls drawn from dist and fill every outcome field.
 
-    Both overflow routes are evaluated; a mismatch would indicate a bug and
-    raises immediately.
+    The sort-and-shift kernel and the count route are both evaluated; a
+    mismatch would indicate a bug and raises immediately.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -104,14 +105,14 @@ def run_trial(dist: BoxDistribution, n: int, r: int, rng: np.random.Generator,
         raise ValueError("capacity r must be >= 1")
     balls = dist.sample(rng, n)
     counts = counts_from_sequence(balls)
-    v_stream = streaming_overflow(balls, r)
-    v_counts = overflow_from_counts(counts, n, r)
-    if v_stream != v_counts:
+    kernel = overflow_stats(balls, r)
+    by_counts = (overflow_from_counts(counts, n, r), *full_counts(counts, r))
+    if kernel != by_counts:
         raise AssertionError(
-            f"overflow mismatch: streaming={v_stream} count-based={v_counts}")
-    full, exactly = full_counts(counts, r)
+            f"(V, L, M) mismatch: sort-and-shift={kernel} count-based={by_counts}")
+    v, full, exactly = kernel
     return AllocationOutcome(
-        counts=counts, n=n, r=r, overflow=v_counts,
+        counts=counts, n=n, r=r, overflow=v,
         full_urns=full, exactly_full=exactly,
         sequence=balls if keep_sequence else None,
     )

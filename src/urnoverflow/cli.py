@@ -107,28 +107,36 @@ def cmd_simulate(args) -> int:
                               collect=collect, identity_checks=args.identity_checks,
                               threads=args.threads)
     report = regime_report(dist, n, r)
+    stat = collect[0]
+    mu = None
+    if args.gof == "poisson":
+        # in the Poisson regime L_r = V_{r-1} - V_r and M_r are both close to V_{r-1}
+        if stat != "V" and r == 1:
+            raise UsageError(f"--gof poisson has no limit law for {stat} at capacity 1")
+        mu = report.mu if stat == "V" else regime_report(dist, n, r - 1).mu
     t0 = time.perf_counter()
     summaries = run_experiment(config)
     elapsed = time.perf_counter() - t0
 
     fit = {}
+    summary = summaries[stat]
     if args.gof == "poisson":
-        mu = report.mu
-        v = summaries[collect[0]]
-        fit["tv_poisson"] = tv_distance_poisson(v, mu)
+        fit["law"] = {"statistic": stat, "name": "poisson", "mu": mu}
+        fit["tv_poisson"] = tv_distance_poisson(summary, mu)
         try:
-            statistic, dof = chi_square_poisson(v, mu)
+            statistic, dof = chi_square_poisson(summary, mu)
             fit["chi_square"] = {"statistic": statistic, "dof": dof}
         except ValueError as exc:
             fit["chi_square"] = {"error": str(exc)}
     elif args.gof == "normal":
-        v = summaries[collect[0]]
-        sd = math.sqrt(v.variance)
+        sd = math.sqrt(summary.variance)
+        fit["law"] = {"statistic": stat, "name": "normal",
+                      "mean": summary.mean, "sd": sd}
         if sd == 0.0:
             fit["ks_normal"] = {"error": "zero empirical variance"}
         else:
-            samples = [(k - v.mean) / sd
-                       for k, c in v.histogram.items() for _ in range(c)]
+            samples = [(k - summary.mean) / sd
+                       for k, c in summary.histogram.items() for _ in range(c)]
             fit["ks_normal"] = ks_normal(samples)
 
     record = {
@@ -147,12 +155,10 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         _emit_json(record)
     else:
-        v = summaries[collect[0]]
         sys.stdout.write("value,count,empirical_prob,theory_prob\n")
-        for k, c in v.histogram.items():
-            theory = (repr(poisson_pmf(report.mu, k))
-                      if args.gof == "poisson" else "")
-            sys.stdout.write(f"{k},{c},{c / v.reps!r},{theory}\n")
+        for k, c in summary.histogram.items():
+            theory = repr(poisson_pmf(mu, k)) if mu is not None else ""
+            sys.stdout.write(f"{k},{c},{c / summary.reps!r},{theory}\n")
     return 0
 
 

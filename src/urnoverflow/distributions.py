@@ -94,9 +94,13 @@ class Geometric:
         return p ** (r + 1) / denom
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # exact inverse-CDF: CDF(j) = 1 - (1-p)^(j+1), never truncated
+        # exact inverse-CDF: CDF(j) = 1 - (1-p)^(j+1), never truncated, in place on u
         u = rng.random(size)
-        return np.floor(np.log1p(-u) / math.log1p(-self.success_prob)).astype(np.int64)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= math.log1p(-self.success_prob)
+        np.floor(u, out=u)
+        return u.astype(np.int64)
 
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         """Leading masses until the remaining tail mass drops below tail_tol."""

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import streaming_overflow
+from .allocation import (full_counts, overflow_from_counts, overflow_stats,
+                         streaming_overflow)
 from .distributions import BoxDistribution
 from .stats import EmpiricalSummary
 
-__all__ = ["ExperimentConfig", "run_experiment", "trial_rng", "batch_overflows"]
+__all__ = ["ExperimentConfig", "run_experiment", "trial_rng"]
 
 
 @dataclass(frozen=True)
@@ -53,21 +54,18 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def _trial_stats(cfg: ExperimentConfig, trial: int) -> tuple[int, int, int]:
     rng = trial_rng(cfg.seed, trial)
     balls = cfg.dist.sample(rng, cfg.n)
-    _, counts = np.unique(balls, return_counts=True)
-    r = cfg.r
-    v = int(np.maximum(counts - r, 0).sum())
-    full = int(np.count_nonzero(counts >= r))
-    exact = int(np.count_nonzero(counts == r))
+    stats = overflow_stats(balls, cfg.r)
     if cfg.identity_checks:
-        v_lo = int(np.maximum(counts - (r - 1), 0).sum()) if r > 1 else cfg.n
-        v_hi = int(np.maximum(counts - (r + 1), 0).sum())
-        if v_lo - v != full or v_lo - 2 * v + v_hi != exact:
+        _, counts = np.unique(balls, return_counts=True)
+        by_counts = (overflow_from_counts(counts, cfg.n, cfg.r),
+                     *full_counts(counts, cfg.r))
+        if stats != by_counts:
             raise AssertionError(
                 f"telescoping identity violated at trial {trial}: "
-                f"V(r-1)={v_lo} V(r)={v} V(r+1)={v_hi} L={full} M={exact}")
-        if streaming_overflow(balls, r) != v:
+                f"sort-and-shift (V, L, M)={stats} count route={by_counts}")
+        if streaming_overflow(balls, cfg.r) != stats[0]:
             raise AssertionError(f"streaming/count overflow mismatch at trial {trial}")
-    return v, full, exact
+    return stats
 
 
 def _run_range(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
@@ -99,16 +97,3 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {name: EmpiricalSummary.from_histogram(hist)
             for name, hist in merged.items()}
 
-
-def batch_overflows(dist: BoxDistribution, n: int, r: int, reps: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Overflow of many trials at once, for small finite-support instances.
-
-    Samples a (reps, n) matrix from one stream; convenient for oracle
-    comparisons where per-trial stream derivation is not needed.
-    """
-    s = dist.support_size
-    balls = dist.sample(rng, reps * n)
-    flat = balls + s * np.repeat(np.arange(reps), n)
-    counts = np.bincount(flat, minlength=reps * s).reshape(reps, s)
-    return (np.maximum(counts - r, 0)).sum(axis=1)

@@ -23,9 +23,11 @@ from urnoverflow.exact import (binomial_tail, exact_distribution,
                                exact_mean_overflow, exact_mean_via_counts,
                                nod_joint_table, sequence_enumeration_distribution,
                                tail_bound)
-from urnoverflow.montecarlo import ExperimentConfig, batch_overflows, run_experiment
+from urnoverflow.montecarlo import ExperimentConfig, run_experiment
 from urnoverflow.stats import (CHI_SQUARE_QUANTILES, EmpiricalSummary,
                                chi_square_poisson, ks_normal, tv_distance_poisson)
+
+from oracles import batch_overflows
 
 SMALL_GRID_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]
 

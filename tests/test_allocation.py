@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnoverflow.allocation import (counts_from_sequence, full_counts,
-                                    overflow_from_counts, run_trial,
-                                    streaming_overflow)
+                                    overflow_from_counts, overflow_stats,
+                                    run_trial, streaming_overflow)
 from urnoverflow.distributions import Custom, Geometric, Uniform
+
+from oracles import per_ball_overflow_stats
 
 
 def test_single_urn_trial():
@@ -59,6 +61,19 @@ def test_streaming_equals_count_based(n, r, urns, seed):
     balls = Uniform(urns).sample(rng, n)
     counts = counts_from_sequence(balls)
     assert streaming_overflow(balls, r) == overflow_from_counts(counts, n, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.integers(1, 45),
+       st.sampled_from([0, 2**31 - 3, 2**31, 2**32 + 5, 2**62]))
+@example(urns=[4], r=1, offset=0)                   # n = 1, V_0 = n
+@example(urns=[0, 0, 0], r=3, offset=2**31)         # r = n
+@example(urns=[1, 1, 2, 1, 2], r=1, offset=2**62)   # r = 1, far urns
+def test_kernel_matches_per_ball_oracle(urns, r, offset):
+    balls = np.asarray(urns, dtype=np.int64) + offset
+    expected = per_ball_overflow_stats(balls, r)
+    assert overflow_stats(balls, r) == expected
+    assert streaming_overflow(balls, r) == expected[0]
 
 
 def _v_of(balls, r):

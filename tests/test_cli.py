@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -142,3 +143,47 @@ def test_no_timing_output_is_reproducible(capsys):
         assert out1 == out4
     finally:
         os.unlink(path)
+
+
+@pytest.mark.parametrize("stat", ["l", "m"])
+def test_simulate_gof_poisson_fits_full_urns_at_capacity_minus_one(stat, capsys):
+    # L_2 and M_2 are close to V_1 ~ Pois(mu_1), mu_1 = 100^2 / (2 * 5000) = 1
+    code, out, _ = run_cli(["simulate", "--dist", "uniform:m=5000", "--balls", "100",
+                            "--capacity", "2", "--reps", "2000", "--seed", "1",
+                            "--collect", stat, "--gof", "poisson", "--no-timing"], capsys)
+    assert code == 0
+    fit = json.loads(out)["fit"]
+    assert fit["law"] == {"statistic": stat.upper(), "name": "poisson",
+                          "mu": pytest.approx(1.0)}
+    assert fit["tv_poisson"] <= 0.05
+
+
+def test_simulate_gof_csv_theory_uses_the_fitted_law(capsys):
+    code, out, _ = run_cli(["simulate", "--dist", "uniform:m=5000", "--balls", "100",
+                            "--capacity", "2", "--reps", "200", "--seed", "1",
+                            "--collect", "l", "--gof", "poisson", "--format", "csv"],
+                           capsys)
+    assert code == 0
+    rows = {row["value"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert float(rows["0"]["theory_prob"]) == pytest.approx(math.exp(-1.0))
+
+
+def test_simulate_gof_normal_names_law(capsys):
+    code, out, _ = run_cli(["simulate", "--dist", "uniform:m=50", "--balls", "100",
+                            "--capacity", "2", "--reps", "300", "--seed", "5",
+                            "--collect", "m,v", "--gof", "normal", "--no-timing"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    m = record["summaries"]["M"]
+    assert record["fit"]["law"] == {"statistic": "M", "name": "normal",
+                                    "mean": m["mean"], "sd": math.sqrt(m["variance"])}
+
+
+@pytest.mark.parametrize("stat", ["l", "m"])
+def test_simulate_gof_poisson_full_urns_at_capacity_one_is_usage_error(stat, capsys):
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=5000", "--balls", "100",
+                              "--capacity", "1", "--reps", "20", "--seed", "1",
+                              "--collect", stat, "--gof", "poisson"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "capacity 1" in err

@@ -46,6 +46,16 @@ def test_moment_sandwich(dist, r):
     assert m <= ps**r + 1e-15
 
 
+@pytest.mark.parametrize("p", [1e-9, 1.29e-6, 0.3, 0.999])
+@pytest.mark.parametrize("seed", [0, 1, 20190516])
+def test_geometric_sample_bit_identical_to_inverse_cdf(p, seed):
+    got = Geometric(p).sample(np.random.default_rng(seed), 10_000)
+    u = np.random.default_rng(seed).random(10_000)
+    expected = np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
 def test_custom_normalizes_raw_counts():
     d = Custom([2, 6])
     assert np.allclose(d.probs, [0.25, 0.75])

@@ -3,8 +3,9 @@ import pytest
 
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import exact_distribution
-from urnoverflow.montecarlo import (ExperimentConfig, batch_overflows,
-                                    run_experiment, trial_rng)
+from urnoverflow.montecarlo import ExperimentConfig, run_experiment, trial_rng
+
+from oracles import batch_overflows
 
 
 def test_deterministic_single_urn():
