@@ -33,6 +33,7 @@ __all__ = [
 DEFAULT_MEAN_BUDGET = 10**9       # tail evaluations allowed in the mean formulas
 DEFAULT_ORACLE_BUDGET = 10**7     # count compositions / ball sequences to enumerate
 GEOMETRIC_CUTOFF = 1e-14          # relative contribution below which geometric urns stop
+GRID_CELLS = 1 << 20              # cells per block of an exact route's arrays
 
 
 class BudgetExceededError(RuntimeError):
@@ -50,8 +51,6 @@ def _log_binom_pmf_range(k: int, p: float, lo: int, hi: int) -> np.ndarray:
     logp, logq = math.log(p), math.log1p(-p)
     anchor = (math.lgamma(k + 1) - math.lgamma(lo + 1) - math.lgamma(k - lo + 1)
               + lo * logp + (k - lo) * logq)
-    if lo == hi:
-        return np.array([anchor])
     # ratio pmf(i+1)/pmf(i) = (k-i)/(i+1) * p/q
     ratios = np.log((k - i[:-1]) / (i[:-1] + 1.0)) + (logp - logq)
     return anchor + np.concatenate(([0.0], np.cumsum(ratios)))
@@ -94,85 +93,90 @@ def tail_bound(k: int, p: float, r: int) -> float:
 # exact mean of the overflow, two independent formulas
 # ---------------------------------------------------------------------------
 
-def _iter_distinct_probs(dist: BoxDistribution, n: int, r: int, budget: int):
-    """Yield (p, multiplicity) pairs, enforcing the n*|support| work budget.
-
-    Geometric urns are cut adaptively once an urn's maximal possible mean
-    contribution falls below GEOMETRIC_CUTOFF of the accumulated total.
-    """
+def _urns(dist: BoxDistribution, n: int, r: int, budget: int):
+    """(count, block) of the urns in the mean (none when n <= r), budget
+    checked first; block(lo, hi) makes the (p, multiplicity) arrays of urns
+    lo..hi-1.  Geometric urn j costs (j+1)*n; its bound n*tail_bound(n, p_j, r)
+    falls by rho = q^r per urn, so the first urn below GEOMETRIC_CUTOFF times
+    the bounds before it is the least j >= 1 with rho^j < CUT/(1 - rho + CUT)."""
+    if n < 1 or r < 1:
+        raise ValueError("n and r must be >= 1")
+    if n <= r:
+        return 0, None
     if dist.finite_support:
         if n * dist.support_size > budget:
             raise BudgetExceededError(
                 f"n*support = {n * dist.support_size} exceeds mean budget {budget}; "
                 "use Monte Carlo")
-        yield from dist.distinct_probs()
-        return
-    # geometric: urn j contributes at most n * tail_bound(n, p_j, r)
+        p, mult = map(np.array, zip(*dist.distinct_probs()))
+        return p.size, lambda lo, hi: (p[lo:hi], mult[lo:hi])
     p = dist.success_prob
-    acc = 0.0
-    for j in itertools.count():
-        if (j + 1) * n > budget:
-            raise BudgetExceededError(
-                f"geometric truncation exceeded mean budget {budget}")
-        pj = p * (1.0 - p) ** j
-        cap = n * tail_bound(n, pj, r)
-        if cap < GEOMETRIC_CUTOFF * max(acc, 1e-300):
-            return
-        acc += cap
-        yield pj, 1
-
-
-def _sum_tails_upto(p: float, n: int, r: int) -> float:
-    """sum_{k=1}^{n} P(Bin(k-1, p) >= r), by an O(n*r) pmf recurrence."""
-    q = 1.0 - p
-    pmf = np.zeros(r)     # pmf of Bin(j, p) on 0..r-1, starting at j = 0
-    pmf[0] = 1.0
-    tail = 0.0            # P(Bin(j, p) >= r)
-    total = 0.0
-    for _ in range(n):    # j = 0 .. n-1, i.e. k = 1 .. n
-        total += tail
-        tail += p * pmf[r - 1]
-        pmf[1:] = q * pmf[1:] + p * pmf[:-1]
-        pmf[0] *= q
-    return total
+    log_rho = r * math.log1p(-p)
+    log_tau = math.log(GEOMETRIC_CUTOFF) - math.log(GEOMETRIC_CUTOFF - math.expm1(log_rho))
+    urns = math.floor(log_tau / log_rho) + 1
+    if not (urns + 1) * n <= budget:
+        raise BudgetExceededError(
+            f"geometric truncation exceeded mean budget {budget}")
+    return urns, lambda lo, hi: (p * (1.0 - p) ** np.arange(lo, hi), np.ones(hi - lo))
 
 
 def exact_mean_overflow(dist: BoxDistribution, n: int, r: int,
                         budget: int = DEFAULT_MEAN_BUDGET) -> float:
-    """E V_{n,r} = sum_m p_m * sum_{k=1}^n P(Bin(k-1, p_m) >= r)."""
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be >= 1")
-    if n <= r:
-        return 0.0
-    return sum(mult * p * _sum_tails_upto(p, n, r)
-               for p, mult in _iter_distinct_probs(dist, n, r, budget))
+    """E V_{n,r} = sum_m p_m * sum_{k=1}^n P(Bin(k-1, p_m) >= r).
+
+    In positive terms, P(Bin(k, p) >= r) = p sum_{j<k} P(Bin(j, p) = r-1), so
+    E V = sum_m mult p^2 sum_{j=r-1}^{n-2} (n-1-j) C(j, r-1) p^{r-1} q^{j-r+1},
+    summed in logs over (urn x j) blocks of at most GRID_CELLS cells.
+    """
+    urns, block = _urns(dist, n, r, budget)
+    width = max(1, min(n - r, GRID_CELLS))
+    rows = GRID_CELLS // width
+    total = 0.0
+    # log q = -inf for a lone urn with p = 1, whose only term is q^0 = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j0 in range(r - 1, n - 1, width):
+            j = np.arange(j0, min(j0 + width, n - 1))
+            # log C(j, r-1) as a sum of small logs, with no lgamma(j) anchor
+            col = np.log(n - 1 - j) + sum(np.log(j - i) for i in range(r - 1)) - math.lgamma(r)
+            for u in range(0, urns, rows):
+                p, mult = block(u, min(u + rows, urns))
+                grid = np.multiply.outer(np.log1p(-p), j - (r - 1))
+                if j0 == r - 1:
+                    grid[:, 0] = 0.0
+                grid += col
+                grid += (r + 1) * np.log(p)[:, None]
+                total += float(np.exp(grid, out=grid).sum(axis=1) @ mult)
+    return total
 
 
 def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int,
                           budget: int = DEFAULT_MEAN_BUDGET) -> float:
-    """E V_{n,r} = n - sum_m E min(Bin(n, p_m), r), the per-urn retention view.
+    """E V_{n,r} = sum_m mult E(Bin(n, p_m) - r)^+, the per-urn retention view.
 
-    Accumulated as sum_m (n p_m - E min(Bin(n, p_m), r)) so that truncating
-    the geometric support drops only genuinely negligible terms.
-    """
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be >= 1")
-    if n <= r:
-        return 0.0
-    overflow = 0.0
-    for p, mult in _iter_distinct_probs(dist, n, r, budget):
-        if p == 1.0:  # single urn retains exactly r balls
-            overflow += mult * (n - r)
-            continue
-        hi = min(r - 1, n)
-        logs = _log_binom_pmf_range(n, p, 0, hi)
-        below = float(np.exp(logs) @ np.arange(hi + 1))
-        overflow += mult * (n * p - below - r * binomial_tail(n, p, r))
-    return overflow
+    With N = Bin(n, p), an urn gives n p - sum_{i<r} i P(N=i) - r P(N >= r)
+    from (urns x r) pmf rows, P(N=0) = q^n times the cumulative product of
+    P(N=i+1)/P(N=i) = (n-i)/(i+1) p/q; 1 - q^n by expm1 keeps small tails
+    precise."""
+    urns, block = _urns(dist, n, r, budget)
+    i = np.arange(r)
+    rows = max(1, GRID_CELLS // r)
+    total = 0.0
+    for u in range(0, urns, rows):
+        p, mult = block(u, min(u + rows, urns))
+        total += float(mult[p == 1.0].sum()) * (n - r)   # a lone urn keeps r balls
+        p, mult = p[p < 1.0], mult[p < 1.0]
+        log_q0 = n * np.log1p(-p)
+        steps = np.multiply.outer(p / (1.0 - p), (n - i[:-1]) / i[1:])
+        pmf = np.column_stack((np.exp(log_q0), steps)).cumprod(axis=1)
+        deep = log_q0 < -700.0    # q^n underflows: these rows go in logs
+        pmf[deep] = np.exp(np.column_stack((log_q0, np.log(steps)))[deep].cumsum(axis=1))
+        tail = -np.expm1(log_q0) - pmf[:, 1:].sum(axis=1)
+        total += float((n * p - pmf @ i - r * tail) @ mult)
+    return total
 
 
 # ---------------------------------------------------------------------------
-# brute-force exact distribution of the overflow
+# exact distribution of the overflow by enumerating count vectors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -196,19 +200,12 @@ def _finish(pmf: dict, n: int, r: int) -> ExactDistribution:
                              mean=mean, variance=var)
 
 
-def _compositions(n: int, s: int):
-    """All count vectors (c_1..c_s) with sum n."""
-    if s == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, s - 1):
-            yield (head, *rest)
-
-
 def exact_distribution(dist: BoxDistribution, n: int, r: int,
                        budget: int = DEFAULT_ORACLE_BUDGET) -> ExactDistribution:
-    """Enumerate all count vectors with multinomial weights; exact pmf of V."""
+    """Enumerate all count vectors with multinomial weights; exact pmf of V.
+
+    Count vectors come by stars and bars (s-1 bars among n+s-1 slots) as int
+    arrays of at most GRID_CELLS cells."""
     if not dist.finite_support:
         raise ValueError("exact_distribution requires a finite-support distribution")
     if n < 1 or r < 1:
@@ -221,14 +218,19 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int,
             "instance too large for oracle")
     logp = np.log(dist.support_probs())
     lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
-    log_nfact = math.lgamma(n + 1)
-    pmf: dict[int, float] = {}
-    for comp in _compositions(n, s):
-        c = np.array(comp)
-        w = math.exp(log_nfact - lg[c].sum() + float(c @ logp))
-        v = int(n - np.minimum(c, r).sum())
-        pmf[v] = pmf.get(v, 0.0) + w
-    return _finish(pmf, n, r)
+    mass = np.zeros(n + 1)
+    bars = itertools.combinations(range(n + s - 1), s - 1)
+    rows = max(1, GRID_CELLS // s)
+    for done in range(0, n_comps, rows):
+        block = min(rows, n_comps - done)
+        cuts = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, block)),
+                           dtype=np.int64, count=block * (s - 1)).reshape(block, s - 1)
+        c = np.diff(cuts, axis=1, prepend=-1, append=n + s - 1) - 1
+        w = np.exp(lg[n] - lg[c].sum(axis=1) + c @ logp)
+        v = n - np.minimum(c, r).sum(axis=1)
+        mass += np.bincount(v, weights=w, minlength=n + 1)
+    lo, hi = n - min(n, s * r), n - min(n, r)   # n - V = sum min(c, r) takes each value between
+    return _finish({v: float(mass[v]) for v in range(lo, hi + 1)}, n, r)
 
 
 def sequence_enumeration_distribution(dist: BoxDistribution, n: int, r: int,
@@ -282,16 +284,13 @@ def nod_joint_table(dist: BoxDistribution, n: int, k: int, l: int,
     probs = dist.support_probs()
     # joint weight mass at (count of m1 in first k-1, count of m2 in first l-1)
     mass = np.zeros((length + 2, length + 2))
-    if length == 0:
-        mass[0, 0] = 1.0
-    else:
-        for seq in itertools.product(range(s), repeat=length):
-            c1 = sum(1 for b in seq[: k - 1] if b == m1)
-            c2 = sum(1 for b in seq if b == m2)
-            w = 1.0
-            for b in seq:
-                w *= probs[b]
-            mass[c1, c2] += w
+    for seq in itertools.product(range(s), repeat=length):   # one empty seq if length 0
+        c1 = sum(1 for b in seq[: k - 1] if b == m1)
+        c2 = sum(1 for b in seq if b == m2)
+        w = 1.0
+        for b in seq:
+            w *= probs[b]
+        mass[c1, c2] += w
     # survival table: P(C1 >= x1, C2 >= x2) via 2-d suffix sums
     joint = np.flip(np.cumsum(np.cumsum(np.flip(mass), axis=0), axis=1))
     return joint

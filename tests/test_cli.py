@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
-from urnoverflow.cli import main
+from urnoverflow.cli import PRESETS, main
 
 
 def run_cli(argv, capsys):
@@ -87,6 +88,17 @@ def test_exact_mean_zero_when_n_at_most_r(capsys):
 def test_exact_budget_exit_code(capsys):
     code, _, err = run_cli(["exact", "--dist", "uniform:m=10000000", "--balls",
                             "100000", "--capacity", "2"], capsys)
+    assert code == 3
+    assert "budget" in err
+
+
+def test_exact_fig2_refused_fast(capsys):
+    # fig2's geometric support needs about 5.1e6 urns of 1e5 balls before the cutoff
+    p = PRESETS["fig2"]["p"]
+    t0 = time.perf_counter()
+    code, _, err = run_cli(["exact", "--dist", f"geometric:p={p!r}", "--balls",
+                            "100000", "--capacity", "3"], capsys)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert "budget" in err
 

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from oracles import exact_mean_rational, loop_mean_overflow, loop_overflow_pmf
+from urnoverflow import exact
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (BudgetExceededError, binomial_tail,
                                exact_distribution, exact_mean_overflow,
@@ -71,6 +75,80 @@ def test_two_mean_formulas_agree(dist, n, r):
     a = exact_mean_overflow(dist, n, r)
     b = exact_mean_via_counts(dist, n, r)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def _mean_urns(dist, n, r, budget=exact.DEFAULT_MEAN_BUDGET):
+    """(p, multiplicity) pairs of the urns the mean routes sum over."""
+    urns, block = exact._urns(dist, n, r, budget)
+    return list(zip(*block(0, urns))) if urns else []
+
+
+@pytest.mark.parametrize("dist,n,r,budget", [
+    (Uniform(25_118), 10_000, 2, exact.DEFAULT_MEAN_BUDGET),        # fig3
+    (Uniform(333_333), 10_000, 2, 10**10),                          # budget lifted
+    (Geometric(0.05), 200, 2, exact.DEFAULT_MEAN_BUDGET),
+])
+def test_mean_routes_match_rational_oracle(dist, n, r, budget):
+    # the oracle sums the same urns in exact integer arithmetic
+    want = exact_mean_rational(_mean_urns(dist, n, r, budget), n, r)
+    assert exact_mean_overflow(dist, n, r, budget) == pytest.approx(want, rel=1e-12)
+    assert exact_mean_via_counts(dist, n, r, budget) == pytest.approx(want, rel=1e-12)
+
+
+def test_fig4_mean_routes():
+    # the value is the independent scipy.stats.binom sum of benchmark/reference_means.py
+    a = exact_mean_overflow(Geometric(1e-4), 10_000, 4)
+    b = exact_mean_via_counts(Geometric(1e-4), 10_000, 4)
+    assert abs(a - b) <= 1e-10
+    assert a == pytest.approx(9.709662426289697, rel=1e-11)
+    assert b == pytest.approx(9.709662426289697, rel=1e-11)
+
+
+SMALL_INSTANCE = st.one_of(
+    st.builds(Uniform, st.integers(1, 6)),
+    st.builds(Custom, st.lists(st.integers(1, 20), min_size=1, max_size=4)),
+    st.builds(Geometric, st.floats(0.05, 0.95)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dist=SMALL_INSTANCE, n=st.integers(1, 60), r=st.integers(1, 5))
+def test_array_routes_match_loop_oracles(dist, n, r):
+    want = loop_mean_overflow(_mean_urns(dist, n, r), n, r)
+    assert exact_mean_overflow(dist, n, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the retention identity subtracts terms of size n p_m from a mean of
+    # size (n p_m)^(r+1), so its rounding has an absolute floor of order eps*n*r
+    assert exact_mean_via_counts(dist, n, r) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if dist.finite_support and math.comb(n + dist.support_size - 1, n) <= 5000:
+        got = exact_distribution(dist, n, r).pmf
+        loop = loop_overflow_pmf(dist.support_probs(), n, r)
+        assert set(got) == set(loop)
+        for v in loop:
+            assert got[v] == pytest.approx(loop[v], rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("dist,n,r", [
+    (Geometric(0.3), 40, 3), (Custom([5, 3, 2, 1]), 9, 2), (Uniform(1), 7, 2),
+])
+def test_blocked_routes_match_one_block(monkeypatch, dist, n, r):
+    # a tiny block size splits every grid into many blocks along both axes
+    means = (exact_mean_overflow(dist, n, r), exact_mean_via_counts(dist, n, r))
+    pmf = exact_distribution(dist, n, r).pmf if dist.finite_support else None
+    monkeypatch.setattr(exact, "GRID_CELLS", 7)
+    assert exact_mean_overflow(dist, n, r) == pytest.approx(means[0], rel=1e-13)
+    assert exact_mean_via_counts(dist, n, r) == pytest.approx(means[1], rel=1e-13)
+    if pmf is not None:
+        blocked = exact_distribution(dist, n, r).pmf
+        assert set(blocked) == set(pmf)
+        for v in pmf:
+            assert blocked[v] == pytest.approx(pmf[v], rel=0.0, abs=1e-14)
+
+
+def test_counts_route_where_q_to_the_n_underflows():
+    # n p = 1000, so P(N = 0) = 2^-2000 underflows and the pmf rows go in logs
+    want = loop_mean_overflow([(0.5, 2)], 2000, 900)
+    assert exact_mean_via_counts(Uniform(2), 2000, 900) == pytest.approx(want, rel=1e-12)
+    assert exact_mean_overflow(Uniform(2), 2000, 900) == pytest.approx(want, rel=1e-11)
 
 
 def test_mean_budget_raises():
