@@ -5,6 +5,8 @@ least k earlier urn-mates exactly when s[i] == s[i-k], so the overflow V_k at
 capacity k counts those positions (V_0 = n), and L_r = V_{r-1} - V_r and
 M_r = V_{r-1} - 2 V_r + V_{r+1}.  The count route (n - sum_m min(count_m, r),
 #(count >= r), #(count == r) on the final counts) is its independent check.
+Only equality of urn indices matters, so the sort runs on 32-bit keys whenever
+every index fits in int32, and on the draw's own int64 keys otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +47,22 @@ def counts_from_sequence(balls: np.ndarray) -> dict:
     return {int(u): int(c) for u, c in zip(urns, counts)}
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def _sort_keys(balls: np.ndarray) -> np.ndarray:
+    """An int64 draw as an int32 copy when every urn index fits, else unchanged.
+
+    The cast keeps every value, so the sorted order and every shifted
+    equality are the same; int32 keys sort about twice as fast as int64.
+    """
+    balls = np.asarray(balls)
+    if (balls.dtype == np.int64 and balls.size
+            and balls.min() >= _INT32.min and balls.max() <= _INT32.max):
+        return balls.astype(np.int32)
+    return balls
+
+
 def _shifted_matches(s: np.ndarray, k: int) -> int:
     """V_k of a sorted draw s: positions i with s[i] == s[i-k], and V_0 = n."""
     if k == 0:
@@ -59,7 +77,7 @@ def overflow_stats(balls: np.ndarray, r: int) -> tuple[int, int, int]:
     """
     if r < 1:
         raise ValueError("capacity r must be >= 1")
-    s = np.sort(balls)
+    s = np.sort(_sort_keys(balls))
     v_lo, v, v_hi = (_shifted_matches(s, k) for k in (r - 1, r, r + 1))
     return v, v_lo - v, v_lo - 2 * v + v_hi
 
@@ -68,7 +86,7 @@ def streaming_overflow(balls: np.ndarray, r: int) -> int:
     """Number of balls whose urn already held >= r balls on arrival."""
     if r < 1:
         raise ValueError("capacity r must be >= 1")
-    return _shifted_matches(np.sort(balls), r)
+    return _shifted_matches(np.sort(_sort_keys(balls)), r)
 
 
 def overflow_from_counts(counts, n: int, r: int) -> int:

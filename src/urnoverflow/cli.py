@@ -8,6 +8,7 @@ All randomness flows from an explicit --seed; there is no implicit time seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,7 +197,9 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="urnoverflow",
         description="Urn overflow laboratory: simulation, exact computation, "

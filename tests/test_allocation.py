@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urnoverflow.allocation import (counts_from_sequence, full_counts,
+from urnoverflow.allocation import (_sort_keys, counts_from_sequence, full_counts,
                                     overflow_from_counts, overflow_stats,
                                     run_trial, streaming_overflow)
 from urnoverflow.distributions import Custom, Geometric, Uniform
@@ -74,6 +74,56 @@ def test_kernel_matches_per_ball_oracle(urns, r, offset):
     expected = per_ball_overflow_stats(balls, r)
     assert overflow_stats(balls, r) == expected
     assert streaming_overflow(balls, r) == expected[0]
+
+
+# (smallest, largest) urn index of a draw and the key width the kernel sorts;
+# 2**31 wraps onto -2**31 if narrowed, so that pair would collide
+@pytest.mark.parametrize("lo, hi, keys", [
+    (0, 2**31 - 1, np.int32),
+    (-2**31, 2**31 - 1, np.int32),
+    (0, 2**31, np.int64),
+    (-2**31, 2**31, np.int64),
+    (-2**31 - 1, 0, np.int64),
+])
+def test_kernel_at_the_int32_key_boundary(lo, hi, keys):
+    rng = np.random.default_rng(abs(hi))
+    urns = np.array([lo, lo + 1, 7, hi - 1, hi], dtype=np.int64)
+    balls = np.concatenate([[lo, hi], rng.choice(urns, size=60)])
+    assert _sort_keys(balls).dtype == keys
+    for r in range(1, 5):
+        expected = per_ball_overflow_stats(balls, r)
+        assert overflow_stats(balls, r) == expected
+        assert streaming_overflow(balls, r) == expected[0]
+
+
+@pytest.mark.parametrize("offset", [0, 2**40])
+def test_kernel_leaves_the_draw_unchanged(offset):
+    balls = Uniform(50).sample(np.random.default_rng(4), 500) + offset
+    before = balls.copy()
+    overflow_stats(balls, 2)
+    streaming_overflow(balls, 2)
+    assert balls.dtype == np.int64
+    np.testing.assert_array_equal(balls, before)
+
+
+def test_int32_draw_matches_its_int64_copy():
+    balls = Uniform(300).sample(np.random.default_rng(8), 1000)
+    narrow = balls.astype(np.int32)
+    for r in range(1, 5):
+        assert overflow_stats(narrow, r) == overflow_stats(balls, r)
+        assert streaming_overflow(narrow, r) == streaming_overflow(balls, r)
+    assert narrow.dtype == np.int32
+
+
+def test_geometric_draw_beyond_int32_matches_count_route():
+    n = 10**4
+    balls = Geometric(1e-9).sample(np.random.default_rng(9), n)
+    assert balls.max() > 2**31 - 1
+    counts = counts_from_sequence(balls)
+    for r in (1, 2, 3):
+        expected = (overflow_from_counts(counts, n, r), *full_counts(counts, r))
+        assert overflow_stats(balls, r) == expected
+        assert streaming_overflow(balls, r) == expected[0]
 
 
 def _v_of(balls, r):

@@ -199,3 +199,25 @@ def test_simulate_gof_poisson_full_urns_at_capacity_one_is_usage_error(stat, cap
     assert code == 2
     assert out == ""
     assert "capacity 1" in err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    # main reuses one parser, so nothing one call parses may leak into the next
+    exact = ["exact", "--dist", "uniform:m=2", "--balls", "4", "--capacity", "1"]
+    code, out, _ = run_cli(exact + ["--full-dist"], capsys)
+    assert code == 0 and "exact_distribution" in json.loads(out)
+    code, out, _ = run_cli(exact, capsys)
+    assert code == 0 and "exact_distribution" not in json.loads(out)
+
+    simulate = ["simulate", "--dist", "uniform:m=50", "--balls", "100",
+                "--capacity", "2", "--reps", "50", "--seed", "5", "--no-timing"]
+    code, out, _ = run_cli(simulate + ["--gof", "normal"], capsys)
+    assert code == 0 and json.loads(out)["fit"]
+    code, out, _ = run_cli(simulate, capsys)
+    assert code == 0 and json.loads(out)["fit"] == {}
+
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--dist", "uniform:m=2", "--balls", "4"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(exact, capsys)
+    assert code == 0 and json.loads(out)["exact_mean_overflow"] == pytest.approx(2.125)
