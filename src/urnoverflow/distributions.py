@@ -57,7 +57,10 @@ class Uniform:
         return float(self.urn_count) ** (-r)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.integers(0, self.urn_count, size=size)
+        # int32 and int64 draws below 2**32 share numpy's 32-bit sampler, so
+        # int32 gives the same values and the kernel sorts them without a cast
+        dtype = np.int32 if self.urn_count <= 2**31 else np.int64
+        return rng.integers(0, self.urn_count, size=size, dtype=dtype)
 
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         return np.full(self.urn_count, 1.0 / self.urn_count)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import BoxDistribution
 
@@ -56,6 +55,12 @@ def _log_binom_pmf_range(k: int, p: float, lo: int, hi: int) -> np.ndarray:
     return anchor + np.concatenate(([0.0], np.cumsum(ratios)))
 
 
+def _log_sum_exp(logs: np.ndarray) -> float:
+    """log(sum(exp(logs))), shifted by the largest term so none overflows."""
+    top = logs.max()
+    return float(top + math.log(np.exp(logs - top).sum()))
+
+
 def binomial_tail(k: int, p: float, r: int) -> float:
     """P(Bin(k, p) >= r), summing the smaller tail and complementing."""
     if k < 0:
@@ -74,10 +79,10 @@ def binomial_tail(k: int, p: float, r: int) -> float:
     if r - 1 < mean:
         # lower tail i = 0..r-1 is the smaller one; complement it
         logs = _log_binom_pmf_range(k, p, 0, r - 1)
-        lower = math.exp(logsumexp(logs))
+        lower = math.exp(_log_sum_exp(logs))
         return min(max(1.0 - lower, 0.0), 1.0)
     logs = _log_binom_pmf_range(k, p, r, k)
-    return min(math.exp(logsumexp(logs)), 1.0)
+    return min(math.exp(_log_sum_exp(logs)), 1.0)
 
 
 def tail_bound(k: int, p: float, r: int) -> float:

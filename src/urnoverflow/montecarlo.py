@@ -1,10 +1,12 @@
 """Replication harness with seeded determinism.
 
-Trial i draws from ``numpy.random.SeedSequence(entropy=seed, spawn_key=(i,))``,
-a counter-based derivation: the stream depends only on (seed, i), never on
-which trials ran before or on which thread.  Aggregation is an
-order-insensitive integer histogram merge, so results are bit-identical for
-any thread count.
+Trial i draws from PCG64 seeded exactly as by
+``numpy.random.SeedSequence(entropy=seed, spawn_key=(i,))``, a counter-based
+derivation: the stream depends only on (seed, i), never on which trials ran
+before or on which thread.  The SeedSequence hash is computed for a block of
+1,024 trials in one numpy pass and gives the same words bit for bit, so only
+seeding PCG64 itself is left per trial.  Aggregation is an order-insensitive
+integer histogram merge, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +24,9 @@ from .distributions import BoxDistribution
 from .stats import EmpiricalSummary
 
 __all__ = ["ExperimentConfig", "run_experiment", "trial_rng"]
+
+BLOCK = 1024            # trials whose streams are derived in one numpy pass
+MAX_TRIALS = 2**32      # trial indices stay one 32-bit spawn-key word
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1 or self.r < 1 or self.reps < 1:
             raise ValueError("n, r and reps must all be >= 1")
+        if self.reps > MAX_TRIALS:
+            raise ValueError(f"reps must be <= 2**32, got {self.reps}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         bad = set(self.collect) - {"V", "L", "M"}
@@ -47,8 +55,80 @@ class ExperimentConfig:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The deterministic random stream of trial i under the given seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    """The deterministic random stream of trial i under the given seed:
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial,)))``."""
+    if not (0 <= seed < 2**64 and 0 <= trial < MAX_TRIALS):
+        raise ValueError(f"need 0 <= seed < 2**64 and 0 <= trial < 2**32, "
+                         f"got seed={seed}, trial={trial}")
+    block, row = divmod(trial, BLOCK)
+    return np.random.Generator(np.random.PCG64(_Words(_block_words(seed, block)[row])))
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One trial's precomputed SeedSequence state: the 4 uint64 words PCG64
+    asks for when it is seeded."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: np.ndarray):
+        self._row = row
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self._row
+
+
+# numpy.random.SeedSequence's hash constants (pool of four uint32 words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+@lru_cache(maxsize=16)
+def _block_words(seed: int, block: int) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+    for the BLOCK trials i of one block, as a read-only (BLOCK, 4) array.
+
+    This is SeedSequence's mix_entropy and generate_state on uint32 arrays
+    (all arithmetic mod 2**32).  Its entropy is the seed's two 32-bit words
+    padded to the pool size, then the one-word spawn key i < 2**32.  The
+    hash constant advances the same way whatever the data, so the seed words
+    are hashed on length-1 arrays and only the spawn key is a full block.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    seed = int(seed)
+    trials = np.arange(BLOCK, dtype=np.uint32) + np.uint32(block * BLOCK)
+    entropy = [np.array([word], dtype=np.uint32)
+               for word in (seed & 0xFFFFFFFF, seed >> 32, 0, 0)]
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for dst in range(4):
+        pool[dst] = mix(pool[dst], hashmix(trials))
+
+    hash_const = _INIT_B
+    state = np.empty((BLOCK, 8), dtype=np.uint32)
+    for word in range(8):
+        value = pool[word % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value *= hash_const
+        state[:, word] = value ^ (value >> 16)
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    words.setflags(write=False)
+    return words
 
 
 def _trial_stats(cfg: ExperimentConfig, trial: int) -> tuple[int, int, int]:

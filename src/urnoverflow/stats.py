@@ -22,7 +22,6 @@ __all__ = [
     "chi_square_poisson",
     "ks_normal",
     "CHI_SQUARE_QUANTILES",
-    "KS_QUANTILES",
 ]
 
 POISSON_TAIL_TOL = 1e-12
@@ -167,6 +166,3 @@ CHI_SQUARE_QUANTILES = {
         15: (22.3071, 30.5779, 37.6973),
     }.items()
 }
-
-# one-sample KS critical values c / sqrt(N) at levels 0.1, 0.01, 0.001
-KS_QUANTILES = {0.1: 1.2238, 0.01: 1.6276, 0.001: 1.9495}

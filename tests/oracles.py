@@ -19,6 +19,11 @@ def per_ball_overflow_stats(balls, r):
     return overflow, full, exactly
 
 
+def seedsequence_rng(seed, trial):
+    """Trial i's stream built the direct way, one SeedSequence per trial."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
 def batch_overflows(dist, n, r, reps, rng):
     """Overflow of many trials at once, for small finite-support instances.
 

@@ -98,11 +98,20 @@ def test_kernel_at_the_int32_key_boundary(lo, hi, keys):
 
 @pytest.mark.parametrize("offset", [0, 2**40])
 def test_kernel_leaves_the_draw_unchanged(offset):
-    balls = Uniform(50).sample(np.random.default_rng(4), 500) + offset
+    balls = Uniform(50).sample(np.random.default_rng(4), 500).astype(np.int64) + offset
     before = balls.copy()
     overflow_stats(balls, 2)
     streaming_overflow(balls, 2)
     assert balls.dtype == np.int64
+    np.testing.assert_array_equal(balls, before)
+
+
+def test_kernel_leaves_an_int32_draw_unchanged():
+    balls = Uniform(50).sample(np.random.default_rng(4), 500)
+    before = balls.copy()
+    overflow_stats(balls, 2)
+    streaming_overflow(balls, 2)
+    assert balls.dtype == np.int32
     np.testing.assert_array_equal(balls, before)
 
 

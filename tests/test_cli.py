@@ -34,6 +34,15 @@ def test_simulate_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+def test_simulate_refuses_more_than_2_32_reps(capsys):
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=2", "--balls", "3",
+                              "--capacity", "1", "--reps", str(2**32 + 1),
+                              "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "reps" in err
+
+
 def test_simulate_bad_dist_is_usage_error(capsys):
     code, _, err = run_cli(["simulate", "--dist", "nope:x=1", "--balls", "5",
                             "--capacity", "2", "--reps", "10", "--seed", "1"], capsys)

@@ -56,6 +56,19 @@ def test_geometric_sample_bit_identical_to_inverse_cdf(p, seed):
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("m,dtype", [(1, np.int32), (2, np.int32), (25_118, np.int32),
+                                     (10_540_926, np.int32), (2**31 - 1, np.int32),
+                                     (2**31, np.int32), (2**31 + 1, np.int64)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 20190516])
+def test_uniform_sample_is_the_int64_draw(m, dtype, seed):
+    # int32 keys up to 2**31 urns, with the values of the default int64 draw
+    got = Uniform(m).sample(np.random.default_rng(seed), 10_000)
+    expected = np.random.default_rng(seed).integers(0, m, 10_000)
+    assert got.dtype == dtype
+    assert expected.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_custom_normalizes_raw_counts():
     d = Custom([2, 6])
     assert np.allclose(d.probs, [0.25, 0.75])

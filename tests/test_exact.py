@@ -33,6 +33,14 @@ def test_binomial_tail_matches_scipy(k, p, r):
                                                    rel=1e-10, abs=1e-14)
 
 
+@pytest.mark.parametrize("p", [0.005, 0.1, 0.37, 0.5, 0.9, 0.995])
+def test_binomial_tail_matches_scipy_on_the_small_grid(p):
+    for k in range(61):
+        r = np.arange(k + 2)
+        got = np.array([binomial_tail(k, p, int(x)) for x in r])
+        np.testing.assert_allclose(got, sps.binom.sf(r - 1, k, p), rtol=0, atol=1e-12)
+
+
 def test_binomial_tail_stable_at_figure_scale():
     # k = 1e5, p = 1e-6: tail must match the Poisson-size answer, not underflow
     got = binomial_tail(100_000, 1e-6, 3)

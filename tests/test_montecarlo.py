@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import exact_distribution
 from urnoverflow.montecarlo import ExperimentConfig, run_experiment, trial_rng
 
-from oracles import batch_overflows
+from oracles import batch_overflows, seedsequence_rng
 
 
 def test_deterministic_single_urn():
@@ -48,6 +50,56 @@ def test_trial_streams_are_order_independent():
     b = trial_rng(123, 7).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(trial_rng(123, 7).random(4), trial_rng(123, 8).random(4))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 20190516]
+TRIALS = [0, 1, 1023, 1024, 1025, 2**32 - 1]
+
+
+def _assert_same_stream(seed, trial):
+    ours, oracle = trial_rng(seed, trial), seedsequence_rng(seed, trial)
+    np.testing.assert_array_equal(
+        ours.bit_generator.seed_seq.generate_state(4, np.uint64),
+        oracle.bit_generator.seed_seq.generate_state(4, np.uint64))
+    assert ours.bit_generator.state == oracle.bit_generator.state
+    np.testing.assert_array_equal(ours.integers(0, 2**63, size=4),
+                                  oracle.integers(0, 2**63, size=4))
+    np.testing.assert_array_equal(ours.random(4), oracle.random(4))
+
+
+@pytest.mark.parametrize("trial", TRIALS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_rng_is_the_seedsequence_stream(seed, trial):
+    _assert_same_stream(seed, trial)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(TRIALS))
+def test_trial_rng_is_the_seedsequence_stream_any_seed(seed, trial):
+    _assert_same_stream(seed, trial)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 1022))
+def test_trial_rng_interleaved_seeds_share_no_block(seed_a, seed_b, trial):
+    # two seeds on the same block: a cache keyed on the block alone would
+    # hand the second seed the first seed's words
+    for seed, i in ((seed_a, trial), (seed_b, trial), (seed_a, trial + 1),
+                    (seed_b, trial + 1)):
+        _assert_same_stream(seed, i)
+
+
+@pytest.mark.parametrize("seed,trial", [(0, 2**32), (0, 2**40), (0, -1),
+                                        (2**64, 0), (-1, 0)])
+def test_trial_rng_refuses_indices_beyond_one_key_word(seed, trial):
+    with pytest.raises(ValueError):
+        trial_rng(seed, trial)
+
+
+def test_config_refuses_more_than_2_32_reps():
+    ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=2**32, seed=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=2**32 + 1, seed=0)
 
 
 def test_identity_checks_run_clean():
