@@ -6,7 +6,10 @@ capacity k counts those positions (V_0 = n), and L_r = V_{r-1} - V_r and
 M_r = V_{r-1} - 2 V_r + V_{r+1}.  The count route (n - sum_m min(count_m, r),
 #(count >= r), #(count == r) on the final counts) is its independent check.
 Only equality of urn indices matters, so the sort runs on 32-bit keys whenever
-every index fits in int32, and on the draw's own int64 keys otherwise.
+every index fits in int32, and on the draw's own int64 keys otherwise.  The
+kernel has two halves: the sort, and the count on sorted keys
+(``_sorted_stats``).  ``overflow_stats`` sorts a copy; the Monte Carlo trial
+loop owns its fresh draw, so it sorts the keys in place and counts them.
 """
 
 from __future__ import annotations
@@ -77,7 +80,11 @@ def overflow_stats(balls: np.ndarray, r: int) -> tuple[int, int, int]:
     """
     if r < 1:
         raise ValueError("capacity r must be >= 1")
-    s = np.sort(_sort_keys(balls))
+    return _sorted_stats(np.sort(_sort_keys(balls)), r)
+
+
+def _sorted_stats(s: np.ndarray, r: int) -> tuple[int, int, int]:
+    """(V, L, M) at capacity r >= 1 of an already sorted draw s."""
     v_lo, v, v_hi = (_shifted_matches(s, k) for k in (r - 1, r, r + 1))
     return v, v_lo - v, v_lo - 2 * v + v_hi
 

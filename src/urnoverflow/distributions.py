@@ -5,7 +5,9 @@ Three kinds are supported: uniform over a finite set of urns, geometric on
 single-urn probability (``p_star``), the power moments sum(p_m^(r+1)) that
 drive the limit regimes, and vectorized per-ball sampling.
 
-Urn indices are 0-based everywhere.
+Urn indices are 0-based everywhere.  Every sampler returns a fresh array that
+the caller owns (the trial loop sorts it in place), as int32 whenever the
+largest index the sampler can return fits, else int64.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ __all__ = [
 
 # Custom weights must sum to 1 within this tolerance after normalization.
 NORMALIZATION_TOL = 1e-12
+
+# Generator.random never returns more than this, so it bounds every
+# inverse-CDF index
+_U_MAX = 1.0 - 2.0**-53
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,7 @@ class Uniform:
         return float(self.urn_count) ** (-r)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size urn indices, a fresh array the caller owns."""
         # int32 and int64 draws below 2**32 share numpy's 32-bit sampler, so
         # int32 gives the same values and the kernel sorts them without a cast
         dtype = np.int32 if self.urn_count <= 2**31 else np.int64
@@ -97,13 +105,19 @@ class Geometric:
         return p ** (r + 1) / denom
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size urn indices, a fresh array the caller owns."""
         # exact inverse-CDF: CDF(j) = 1 - (1-p)^(j+1), never truncated, in place on u
+        log_q = math.log1p(-self.success_prob)
         u = rng.random(size)
         np.negative(u, out=u)
         np.log1p(u, out=u)
-        u /= math.log1p(-self.success_prob)
+        u /= log_q
         np.floor(u, out=u)
-        return u.astype(np.int64)
+        # one cast, to int32 when the largest reachable index (from u = _U_MAX)
+        # fits with one index to spare for libm rounding; the switch sits near
+        # p = 1.7e-8
+        top = math.floor(math.log1p(-_U_MAX) / log_q)
+        return u.astype(np.int32 if top < _INT32_MAX else np.int64)
 
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         """Leading masses until the remaining tail mass drops below tail_tol."""
@@ -119,7 +133,7 @@ class Geometric:
 class Custom:
     """Explicit weights over urns 0..len(weights)-1, normalized on construction."""
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "cdf")
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)
@@ -134,7 +148,11 @@ class Custom:
         if abs(probs.sum() - 1.0) > NORMALIZATION_TOL:
             raise ValueError("normalized weights failed to sum to 1")
         probs.setflags(write=False)
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        cdf.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "cdf", cdf)
 
     def __setattr__(self, name, value):
         raise AttributeError("Custom distributions are immutable")
@@ -164,10 +182,9 @@ class Custom:
         return float(np.sum(self.probs ** (r + 1)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size urn indices, a fresh array the caller owns."""
         # cumulative search on a unit uniform
-        cdf = np.cumsum(self.probs)
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, rng.random(size), side="right")
+        return np.searchsorted(self.cdf, rng.random(size), side="right")
 
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         return self.probs

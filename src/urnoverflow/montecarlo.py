@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .allocation import (full_counts, overflow_from_counts, overflow_stats,
-                         streaming_overflow)
+from .allocation import (_sort_keys, _sorted_stats, full_counts,
+                         overflow_from_counts, streaming_overflow)
 from .distributions import BoxDistribution
 from .stats import EmpiricalSummary
 
@@ -132,18 +132,19 @@ def _block_words(seed: int, block: int) -> np.ndarray:
 
 
 def _trial_stats(cfg: ExperimentConfig, trial: int) -> tuple[int, int, int]:
-    rng = trial_rng(cfg.seed, trial)
-    balls = cfg.dist.sample(rng, cfg.n)
-    stats = overflow_stats(balls, cfg.r)
+    # the fresh draw is this trial's own, so its keys are sorted in place
+    keys = _sort_keys(cfg.dist.sample(trial_rng(cfg.seed, trial), cfg.n))
+    keys.sort()
+    stats = _sorted_stats(keys, cfg.r)
     if cfg.identity_checks:
-        _, counts = np.unique(balls, return_counts=True)
+        _, counts = np.unique(keys, return_counts=True)
         by_counts = (overflow_from_counts(counts, cfg.n, cfg.r),
                      *full_counts(counts, cfg.r))
         if stats != by_counts:
             raise AssertionError(
                 f"telescoping identity violated at trial {trial}: "
                 f"sort-and-shift (V, L, M)={stats} count route={by_counts}")
-        if streaming_overflow(balls, cfg.r) != stats[0]:
+        if streaming_overflow(keys, cfg.r) != stats[0]:
             raise AssertionError(f"streaming/count overflow mismatch at trial {trial}")
     return stats
 

@@ -46,14 +46,61 @@ def test_moment_sandwich(dist, r):
     assert m <= ps**r + 1e-15
 
 
-@pytest.mark.parametrize("p", [1e-9, 1.29e-6, 0.3, 0.999])
+@pytest.mark.parametrize("p,dtype", [pytest.param(1e-9, np.int64, id="1e-09"),
+                                     pytest.param(1.29e-6, np.int32, id="1.29e-06"),
+                                     pytest.param(0.3, np.int32, id="0.3"),
+                                     pytest.param(0.999, np.int32, id="0.999")])
 @pytest.mark.parametrize("seed", [0, 1, 20190516])
-def test_geometric_sample_bit_identical_to_inverse_cdf(p, seed):
+def test_geometric_sample_bit_identical_to_inverse_cdf(p, dtype, seed):
+    # int32 keys whenever the largest reachable index fits, values of the int64 formula
     got = Geometric(p).sample(np.random.default_rng(seed), 10_000)
     u = np.random.default_rng(seed).random(10_000)
     expected = np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
-    assert got.dtype == np.int64
+    assert got.dtype == dtype
     assert np.array_equal(got, expected)
+
+
+class _TopUniform:
+    """A stand-in Generator whose every draw is the largest Generator.random
+    can return, 1 - 2**-53, followed by the smallest, 0."""
+
+    def random(self, size):
+        u = np.full(size, 1.0 - 2.0**-53)
+        u[-1] = 0.0
+        return u
+
+
+def _int32_switch():
+    # smallest p whose draws come as int32; the dtype is monotone in p
+    lo, hi = 1e-9, 1e-7
+    assert Geometric(lo).sample(_TopUniform(), 2).dtype == np.int64
+    assert Geometric(hi).sample(_TopUniform(), 2).dtype == np.int32
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if Geometric(mid).sample(_TopUniform(), 2).dtype == np.int32:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_geometric_key_dtype_holds_the_largest_reachable_index():
+    switch = _int32_switch()
+    assert 1.70e-8 < switch < 1.72e-8
+    below = np.nextafter(switch, 0.0)
+    for p in (1e-9, below, switch, np.nextafter(switch, 1.0), 1.29e-6):
+        got = Geometric(p).sample(_TopUniform(), 2)
+        # the sampler's own float operations on u = 1 - 2**-53
+        u = -np.array([1.0 - 2.0**-53])
+        np.log1p(u, out=u)
+        u /= math.log1p(-p)
+        top = int(np.floor(u)[0])
+        assert got.dtype == (np.int32 if p >= switch else np.int64)
+        assert top <= np.iinfo(got.dtype).max
+        assert got.tolist() == [top, 0]
+    # one index to spare at the switch, and int32 would not hold the index below it
+    assert Geometric(switch).sample(_TopUniform(), 2)[0] < np.iinfo(np.int32).max
+    assert Geometric(below).sample(_TopUniform(), 2)[0] >= np.iinfo(np.int32).max - 1
 
 
 @pytest.mark.parametrize("m,dtype", [(1, np.int32), (2, np.int32), (25_118, np.int32),
@@ -67,6 +114,19 @@ def test_uniform_sample_is_the_int64_draw(m, dtype, seed):
     assert got.dtype == dtype
     assert expected.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("weights", [[3, 2, 1], [4, 3, 2, 1], [0.1] * 7 + [1e-300],
+                                     np.arange(1, 1001)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 20190516])
+def test_custom_sample_is_the_per_call_cdf_search(weights, seed):
+    # the CDF built once equals the cumsum the sampler used to build per call
+    d = Custom(weights)
+    cdf = np.cumsum(d.probs)
+    cdf[-1] = 1.0
+    expected = np.searchsorted(cdf, np.random.default_rng(seed).random(5_000), side="right")
+    np.testing.assert_array_equal(d.sample(np.random.default_rng(seed), 5_000), expected)
+    assert not d.cdf.flags.writeable
 
 
 def test_custom_normalizes_raw_counts():

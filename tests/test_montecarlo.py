@@ -1,11 +1,17 @@
+import hashlib
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urnoverflow.allocation import overflow_stats
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import exact_distribution
-from urnoverflow.montecarlo import ExperimentConfig, run_experiment, trial_rng
+from urnoverflow.montecarlo import (ExperimentConfig, _trial_stats, run_experiment,
+                                    trial_rng)
 
 from oracles import batch_overflows, seedsequence_rng
 
@@ -142,3 +148,55 @@ def test_batch_overflows_agree_with_streaming_definition():
     balls = dist.sample(rng2, reps * n).reshape(reps, n)
     expected = np.array([streaming_overflow(row, r) for row in balls])
     assert np.array_equal(vs, expected)
+
+
+FIG2_P = 1.2926608140191314e-06  # 6 n^(-4/3) at n = 10**5
+
+
+# sha256 of the V, L and M histograms on seed 20190516, so any change to what
+# a trial computes (sampler, stream or kernel) fails here
+@pytest.mark.parametrize("dist,n,r,reps,checks,digest", [
+    pytest.param(Geometric(FIG2_P), 100_000, 3, 20, False,
+                 "226f63b26367b83c1c6df0ba6a7d6e1b8f6dcf3d1243e5f474d6e801fca81751", id="fig2"),
+    pytest.param(Uniform(25_118), 10_000, 2, 200, False,
+                 "5106ca65cda3ca09b5d842d96f3aaa23cd4c2bcf6bfbc395e79395bd70b2a529", id="fig3"),
+    pytest.param(Geometric(1e-4), 10_000, 4, 50, True,
+                 "4345d224eac642d960abe2d7d261c490eace73a2f6cf46f326e1e1b5ad0f5251",
+                 id="fig4-checked"),
+    pytest.param(Custom([3, 2, 1]), 30, 2, 200, False,
+                 "694b37b6b2a53a74dce444344842044d421bea24a933b0de722207bf10ec35ef", id="custom"),
+])
+def test_pinned_histograms(dist, n, r, reps, checks, digest):
+    out = run_experiment(ExperimentConfig(dist=dist, n=n, r=r, reps=reps, seed=20190516,
+                                          identity_checks=checks))
+    hists = {name: summary.histogram for name, summary in out.items()}
+    assert hashlib.sha256(json.dumps(hists, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dist,dtype", [(Uniform(25_118), np.int32),
+                                        (Geometric(FIG2_P), np.int32),
+                                        (Geometric(1e-9), np.int64),
+                                        (Custom([3, 2, 1] * 50), np.int64)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_in_place_trial_equals_the_copying_kernel(dist, dtype, r):
+    cfg = ExperimentConfig(dist=dist, n=5_000, r=r, reps=4, seed=11)
+    for trial in range(cfg.reps):
+        balls = dist.sample(trial_rng(cfg.seed, trial), cfg.n)
+        before = balls.copy()
+        assert balls.dtype == dtype
+        assert _trial_stats(cfg, trial) == overflow_stats(balls, r)
+        np.testing.assert_array_equal(balls, before)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux-only")
+def test_fig2_trials_take_no_fresh_pages():
+    # each large temporary of a trial used to be handed back to the OS and
+    # faulted in again: about 456 minor faults per fig2 trial
+    resource = pytest.importorskip("resource")
+    cfg = ExperimentConfig(dist=Geometric(FIG2_P), n=100_000, r=3, reps=21, seed=3)
+    _trial_stats(cfg, 0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for trial in range(1, cfg.reps):
+        _trial_stats(cfg, trial)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / (cfg.reps - 1) < 100
