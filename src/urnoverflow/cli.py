@@ -84,8 +84,13 @@ def _emit_json(record: dict, stream=None) -> None:
 
 
 def cmd_simulate(args) -> int:
+    given = {"--dist": args.dist, "--balls": args.balls,
+             "--capacity": args.capacity, "--reps": args.reps}
     if args.preset:
-        p = _scaled_preset(args.preset, args.scale)
+        for flag, val in given.items():
+            if val is not None:
+                raise UsageError(f"{flag} cannot be combined with --preset")
+        p = _scaled_preset(args.preset, 1.0 if args.scale is None else args.scale)
         if p["kind"] == "uniform":
             dist = Uniform(p["m"])
             dist_spec = f"uniform:m={p['m']}"
@@ -95,8 +100,9 @@ def cmd_simulate(args) -> int:
         n, r, reps = p["n"], p["r"], p["reps"]
         preset_note = p["note"]
     else:
-        for flag, val in (("--dist", args.dist), ("--balls", args.balls),
-                          ("--capacity", args.capacity), ("--reps", args.reps)):
+        if args.scale is not None:
+            raise UsageError("--scale applies only to --preset")
+        for flag, val in given.items():
             if val is None:
                 raise UsageError(f"{flag} is required without --preset")
         dist = parse_dist_spec(args.dist)
@@ -220,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--gof", choices=["poisson", "normal"], default=None)
     sim.add_argument("--format", choices=["json", "csv"], default="json")
     sim.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    sim.add_argument("--scale", type=float, default=1.0,
+    sim.add_argument("--scale", type=float, default=None,
                      help="shrink a preset (fraction of reps and balls)")
     sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--identity-checks", action="store_true")

@@ -24,7 +24,6 @@ __all__ = [
     "BoxDistribution",
     "p_star",
     "power_moment",
-    "sample_box",
     "parse_dist_spec",
 ]
 
@@ -34,7 +33,6 @@ NORMALIZATION_TOL = 1e-12
 # Generator.random never returns more than this, so it bounds every
 # inverse-CDF index
 _U_MAX = 1.0 - 2.0**-53
-_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ class Geometric:
         # fits with one index to spare for libm rounding; the switch sits near
         # p = 1.7e-8
         top = math.floor(math.log1p(-_U_MAX) / log_q)
-        return u.astype(np.int32 if top < _INT32_MAX else np.int64)
+        return u.astype(np.int32 if top < 2**31 - 1 else np.int64)
 
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         """Leading masses until the remaining tail mass drops below tail_tol."""
@@ -183,8 +181,10 @@ class Custom:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size urn indices, a fresh array the caller owns."""
-        # cumulative search on a unit uniform
-        return np.searchsorted(self.cdf, rng.random(size), side="right")
+        # cumulative search on a unit uniform; the largest index is
+        # support_size - 1, so one cast to int32 whenever that fits
+        idx = np.searchsorted(self.cdf, rng.random(size), side="right")
+        return idx.astype(np.int32 if self.probs.size <= 2**31 else np.int64)
 
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         return self.probs
@@ -210,13 +210,6 @@ def p_star(dist: BoxDistribution) -> float:
 def power_moment(dist: BoxDistribution, r: int) -> float:
     """sum_m p_m^(r+1), the r-th power moment of the selected urn's mass."""
     return dist.power_moment(r)
-
-
-def sample_box(dist: BoxDistribution, rng: np.random.Generator, size: int | None = None):
-    """Draw urn indices according to dist; scalar when size is None."""
-    if size is None:
-        return int(dist.sample(rng, 1)[0])
-    return dist.sample(rng, size)
 
 
 def parse_dist_spec(spec: str) -> BoxDistribution:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtrc
 
 from .distributions import BoxDistribution
 
@@ -43,26 +44,8 @@ class BudgetExceededError(RuntimeError):
 # binomial tails
 # ---------------------------------------------------------------------------
 
-def _log_binom_pmf_range(k: int, p: float, lo: int, hi: int) -> np.ndarray:
-    """log P(Bin(k,p) = i) for i = lo..hi, via a multiplicative log recurrence
-    anchored at i = lo with lgamma."""
-    i = np.arange(lo, hi + 1)
-    logp, logq = math.log(p), math.log1p(-p)
-    anchor = (math.lgamma(k + 1) - math.lgamma(lo + 1) - math.lgamma(k - lo + 1)
-              + lo * logp + (k - lo) * logq)
-    # ratio pmf(i+1)/pmf(i) = (k-i)/(i+1) * p/q
-    ratios = np.log((k - i[:-1]) / (i[:-1] + 1.0)) + (logp - logq)
-    return anchor + np.concatenate(([0.0], np.cumsum(ratios)))
-
-
-def _log_sum_exp(logs: np.ndarray) -> float:
-    """log(sum(exp(logs))), shifted by the largest term so none overflows."""
-    top = logs.max()
-    return float(top + math.log(np.exp(logs - top).sum()))
-
-
 def binomial_tail(k: int, p: float, r: int) -> float:
-    """P(Bin(k, p) >= r), summing the smaller tail and complementing."""
+    """P(Bin(k, p) >= r), by scipy's incomplete-beta survival function."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not 0.0 <= p <= 1.0:
@@ -71,18 +54,7 @@ def binomial_tail(k: int, p: float, r: int) -> float:
         return 1.0
     if r > k:
         return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    mean = k * p
-    if r - 1 < mean:
-        # lower tail i = 0..r-1 is the smaller one; complement it
-        logs = _log_binom_pmf_range(k, p, 0, r - 1)
-        lower = math.exp(_log_sum_exp(logs))
-        return min(max(1.0 - lower, 0.0), 1.0)
-    logs = _log_binom_pmf_range(k, p, r, k)
-    return min(math.exp(_log_sum_exp(logs)), 1.0)
+    return float(bdtrc(r - 1, k, p))
 
 
 def tail_bound(k: int, p: float, r: int) -> float:

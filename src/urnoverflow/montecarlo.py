@@ -18,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .allocation import (_sort_keys, _sorted_stats, full_counts,
-                         overflow_from_counts, streaming_overflow)
+from .allocation import _check_by_counts, _sorted_stats, streaming_overflow
 from .distributions import BoxDistribution
 from .stats import EmpiricalSummary
 
@@ -133,17 +132,11 @@ def _block_words(seed: int, block: int) -> np.ndarray:
 
 def _trial_stats(cfg: ExperimentConfig, trial: int) -> tuple[int, int, int]:
     # the fresh draw is this trial's own, so its keys are sorted in place
-    keys = _sort_keys(cfg.dist.sample(trial_rng(cfg.seed, trial), cfg.n))
+    keys = cfg.dist.sample(trial_rng(cfg.seed, trial), cfg.n)
     keys.sort()
     stats = _sorted_stats(keys, cfg.r)
     if cfg.identity_checks:
-        _, counts = np.unique(keys, return_counts=True)
-        by_counts = (overflow_from_counts(counts, cfg.n, cfg.r),
-                     *full_counts(counts, cfg.r))
-        if stats != by_counts:
-            raise AssertionError(
-                f"telescoping identity violated at trial {trial}: "
-                f"sort-and-shift (V, L, M)={stats} count route={by_counts}")
+        _check_by_counts(keys, cfg.r, stats)
         if streaming_overflow(keys, cfg.r) != stats[0]:
             raise AssertionError(f"streaming/count overflow mismatch at trial {trial}")
     return stats

@@ -21,7 +21,6 @@ __all__ = [
     "tv_distance_poisson",
     "chi_square_poisson",
     "ks_normal",
-    "CHI_SQUARE_QUANTILES",
 ]
 
 POISSON_TAIL_TOL = 1e-12
@@ -141,28 +140,3 @@ def ks_normal(samples) -> float:
     d_minus = (cdf - (i - 1) / n).max()
     return float(max(d_plus, d_minus))
 
-
-# upper quantiles at levels 0.1, 0.01, 0.001, used for threshold checks only
-CHI_SQUARE_QUANTILES = {
-    # dof: {level: quantile}
-    dof: {
-        0.1: q10, 0.01: q01, 0.001: q001,
-    }
-    for dof, (q10, q01, q001) in {
-        1: (2.7055, 6.6349, 10.8276),
-        2: (4.6052, 9.2103, 13.8155),
-        3: (6.2514, 11.3449, 16.2662),
-        4: (7.7794, 13.2767, 18.4668),
-        5: (9.2364, 15.0863, 20.5150),
-        6: (10.6446, 16.8119, 22.4577),
-        7: (12.0170, 18.4753, 24.3219),
-        8: (13.3616, 20.0902, 26.1245),
-        9: (14.6837, 21.6660, 27.8772),
-        10: (15.9872, 23.2093, 29.5883),
-        11: (17.2750, 24.7250, 31.2641),
-        12: (18.5493, 26.2170, 32.9095),
-        13: (19.8119, 27.6882, 34.5282),
-        14: (21.0641, 29.1412, 36.1233),
-        15: (22.3071, 30.5779, 37.6973),
-    }.items()
-}

@@ -1,8 +1,21 @@
 """Independent routes to the overflow statistics, used by tests as oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+
+def counts_from_sequence(balls):
+    """Map urn index -> ball count for the urns that were hit."""
+    urns, counts = np.unique(np.asarray(balls), return_counts=True)
+    return {int(u): int(c) for u, c in zip(urns, counts)}
+
+
+def binomial_tail_rational(k, p, r):
+    """P(Bin(k, p) >= r) summed exactly for the float p, rounded once."""
+    p = Fraction(p)
+    return float(sum(math.comb(k, i) * p**i * (1 - p)**(k - i) for i in range(r, k + 1)))
 
 
 def per_ball_overflow_stats(balls, r):

@@ -1,39 +1,37 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urnoverflow.allocation import (_sort_keys, counts_from_sequence, full_counts,
+from urnoverflow.allocation import (_check_by_counts, full_counts,
                                     overflow_from_counts, overflow_stats,
                                     run_trial, streaming_overflow)
 from urnoverflow.distributions import Custom, Geometric, Uniform
 
-from oracles import per_ball_overflow_stats
+from oracles import counts_from_sequence, per_ball_overflow_stats
 
 
 def test_single_urn_trial():
     rng = np.random.default_rng(0)
-    out = run_trial(Uniform(1), n=5, r=2, rng=rng)
-    assert out.overflow == 3
-    assert out.full_urns == 1
-    assert out.exactly_full == 0
-    assert out.counts == {0: 5}
+    assert run_trial(Uniform(1), n=5, r=2, rng=rng) == (3, 1, 0)
 
 
 def test_n_equal_r_never_overflows():
     rng = np.random.default_rng(1)
     for dist in (Uniform(1), Uniform(3), Geometric(0.5)):
         for r in (1, 2, 5):
-            out = run_trial(dist, n=r, r=r, rng=rng)
-            assert out.overflow == 0
+            v, _, _ = run_trial(dist, n=r, r=r, rng=rng)
+            assert v == 0
 
 
 def test_uniform2_n4_r1_support():
     # V = 4 - (#occupied urns), occupied in {1, 2}
     rng = np.random.default_rng(7)
     for _ in range(200):
-        out = run_trial(Uniform(2), n=4, r=1, rng=rng)
-        assert out.overflow in (2, 3)
+        v, _, _ = run_trial(Uniform(2), n=4, r=1, rng=rng)
+        assert v in (2, 3)
 
 
 def test_overflow_from_counts_examples():
@@ -76,8 +74,8 @@ def test_kernel_matches_per_ball_oracle(urns, r, offset):
     assert streaming_overflow(balls, r) == expected[0]
 
 
-# (smallest, largest) urn index of a draw and the key width the kernel sorts;
-# 2**31 wraps onto -2**31 if narrowed, so that pair would collide
+# (smallest, largest) urn index of a draw and the narrowest key width that holds
+# both; 2**31 wraps onto -2**31 if narrowed, so that pair would collide
 @pytest.mark.parametrize("lo, hi, keys", [
     (0, 2**31 - 1, np.int32),
     (-2**31, 2**31 - 1, np.int32),
@@ -89,11 +87,13 @@ def test_kernel_at_the_int32_key_boundary(lo, hi, keys):
     rng = np.random.default_rng(abs(hi))
     urns = np.array([lo, lo + 1, 7, hi - 1, hi], dtype=np.int64)
     balls = np.concatenate([[lo, hi], rng.choice(urns, size=60)])
-    assert _sort_keys(balls).dtype == keys
+    narrow = balls.astype(keys)
+    np.testing.assert_array_equal(narrow, balls)
     for r in range(1, 5):
         expected = per_ball_overflow_stats(balls, r)
-        assert overflow_stats(balls, r) == expected
-        assert streaming_overflow(balls, r) == expected[0]
+        for draw in (balls, narrow):
+            assert overflow_stats(draw, r) == expected
+            assert streaming_overflow(draw, r) == expected[0]
 
 
 @pytest.mark.parametrize("offset", [0, 2**40])
@@ -185,15 +185,28 @@ def test_outcome_invariants_randomized():
     for _ in range(50):
         n = int(rng.integers(1, 60))
         r = int(rng.integers(1, 5))
-        out = run_trial(Custom(rng.random(5) + 0.1), n, r, rng)
-        assert sum(out.counts.values()) == n
-        assert 0 <= out.overflow <= max(n - r, 0)
-        assert out.exactly_full <= out.full_urns
+        v, full, exactly = run_trial(Custom(rng.random(5) + 0.1), n, r, rng)
+        assert 0 <= v <= max(n - r, 0)
+        assert exactly <= full
 
 
-def test_sequence_retained_on_request():
-    rng = np.random.default_rng(3)
-    out = run_trial(Uniform(4), 10, 2, rng, keep_sequence=True)
-    assert out.sequence is not None and out.sequence.size == 10
-    out2 = run_trial(Uniform(4), 10, 2, rng)
-    assert out2.sequence is None
+@pytest.mark.parametrize("dist, keys", [
+    (Uniform(25_118), np.int32), (Geometric(1e-4), np.int32),
+    (Geometric(1e-9), np.int64), (Custom([3, 2, 1] * 50), np.int32),
+])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_run_trial_is_the_kernel_on_the_same_draw(dist, keys, r):
+    for seed in range(3):
+        balls = dist.sample(np.random.default_rng(seed), 2_000)
+        assert balls.dtype == keys
+        assert run_trial(dist, 2_000, r, np.random.default_rng(seed)) == overflow_stats(balls, r)
+
+
+def test_count_route_check_names_both_triples():
+    s = np.sort(Uniform(5).sample(np.random.default_rng(2), 40))
+    v, full, exactly = overflow_stats(s, 2)
+    _check_by_counts(s, 2, (v, full, exactly))
+    wrong = (v, full, exactly + 1)
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"sort-and-shift={wrong} count route={(v, full, exactly)}")):
+        _check_by_counts(s, 2, wrong)

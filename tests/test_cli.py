@@ -150,6 +150,26 @@ def test_preset_scaling_keeps_mu(capsys):
     assert record["theory"]["mu"] == pytest.approx(2.25, rel=1e-6)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dist", "uniform:m=10"), ("--balls", "7"), ("--capacity", "3"), ("--reps", "3"),
+])
+def test_preset_rejects_the_flags_it_would_ignore(flag, value, capsys):
+    code, out, err = run_cli(["simulate", "--preset", "fig3", "--scale", "0.01",
+                              flag, value, "--seed", "1", "--no-timing"], capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "--preset" in err
+
+
+def test_scale_without_preset_is_rejected(capsys):
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=10", "--balls", "20",
+                              "--capacity", "2", "--reps", "3", "--scale", "0.5",
+                              "--seed", "1", "--no-timing"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--scale" in err
+
+
 def test_no_timing_output_is_reproducible(capsys):
     args = ["simulate", "--dist", "custom:@WEIGHTS", "--balls", "40",
             "--capacity", "2", "--reps", "300", "--seed", "77", "--no-timing"]

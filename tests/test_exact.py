@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from oracles import exact_mean_rational, loop_mean_overflow, loop_overflow_pmf
+from oracles import (binomial_tail_rational, exact_mean_rational, loop_mean_overflow,
+                     loop_overflow_pmf)
 from urnoverflow import exact
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (BudgetExceededError, binomial_tail,
@@ -48,6 +49,13 @@ def test_binomial_tail_stable_at_figure_scale():
     # deep tail of a large symmetric binomial
     got = binomial_tail(100_000, 0.5, 51_000)
     assert got == pytest.approx(sps.binom.sf(50_999, 100_000, 0.5), rel=1e-8)
+
+
+@pytest.mark.parametrize("k,p,r", [(1, 1e-9, 1), (10, 1e-12, 1), (3, 1e-5, 1)])
+def test_binomial_tail_keeps_small_tails_relative(k, p, r):
+    # a complemented lower tail, 1 - P(Bin < r), loses the digits of a tail this small
+    expected = binomial_tail_rational(k, p, r)
+    assert binomial_tail(k, p, r) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_tail_bound_examples():

@@ -176,7 +176,7 @@ def test_pinned_histograms(dist, n, r, reps, checks, digest):
 @pytest.mark.parametrize("dist,dtype", [(Uniform(25_118), np.int32),
                                         (Geometric(FIG2_P), np.int32),
                                         (Geometric(1e-9), np.int64),
-                                        (Custom([3, 2, 1] * 50), np.int64)])
+                                        (Custom([3, 2, 1] * 50), np.int32)])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_in_place_trial_equals_the_copying_kernel(dist, dtype, r):
     cfg = ExperimentConfig(dist=dist, n=5_000, r=r, reps=4, seed=11)

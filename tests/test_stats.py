@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from urnoverflow.asymptotics import poisson_pmf
 from urnoverflow.stats import (EmpiricalSummary, chi_square_poisson, ks_normal,
@@ -67,13 +68,12 @@ def test_chi_square_gross_misfit():
 
 def test_chi_square_calibration():
     # statistic should exceed the 99.9% quantile rarely under the null
-    from urnoverflow.stats import CHI_SQUARE_QUANTILES
     rng = np.random.default_rng(5)
     exceed = 0
     for _ in range(200):
         s = EmpiricalSummary.from_values(rng.poisson(1.5, 10**4))
         statistic, dof = chi_square_poisson(s, 1.5)
-        if statistic > CHI_SQUARE_QUANTILES[min(dof, 15)][0.001]:
+        if statistic > sps.chi2.isf(0.001, min(dof, 15)):
             exceed += 1
     assert exceed <= 3
 
