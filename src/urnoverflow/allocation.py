@@ -8,8 +8,9 @@ M_r = V_{r-1} - 2 V_r + V_{r+1}.  The count route (n - sum_m min(count_m, r),
 Only equality of urn indices matters, so the kernel sorts the keys it is
 given; the samplers already draw them as int32 whenever every index fits.
 The kernel has two halves: the sort, and the count on sorted keys
-(``_sorted_stats``).  ``overflow_stats`` sorts a copy; the Monte Carlo trial
-loop owns its fresh draw, so it sorts the keys in place and counts them.
+(``_sorted_stats``).  ``overflow_stats`` sorts a copy; ``count_draw`` is the
+trial pipeline shared by ``run_trial`` and the Monte Carlo loop, which own
+their fresh draws, so it sorts the keys in place before counting them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .distributions import BoxDistribution
 
 __all__ = [
     "run_trial",
+    "count_draw",
     "overflow_stats",
     "overflow_from_counts",
     "full_counts",
@@ -88,6 +90,16 @@ def _check_by_counts(s: np.ndarray, r: int, stats: tuple[int, int, int]) -> None
             f"(V, L, M) mismatch: sort-and-shift={stats} count route={by_counts}")
 
 
+def count_draw(keys: np.ndarray, r: int, check: bool) -> tuple[int, int, int]:
+    """(V, L, M) at capacity r >= 1 of a fresh draw the caller owns, sorted in
+    place; with check, confirmed by the count route."""
+    keys.sort()
+    stats = _sorted_stats(keys, r)
+    if check:
+        _check_by_counts(keys, r, stats)
+    return stats
+
+
 def run_trial(dist: BoxDistribution, n: int, r: int,
               rng: np.random.Generator) -> tuple[int, int, int]:
     """(V, L, M) of n balls drawn from dist, checked against the count route."""
@@ -95,8 +107,4 @@ def run_trial(dist: BoxDistribution, n: int, r: int,
         raise ValueError("n must be >= 1")
     if r < 1:
         raise ValueError("capacity r must be >= 1")
-    keys = dist.sample(rng, n)
-    keys.sort()
-    stats = _sorted_stats(keys, r)
-    _check_by_counts(keys, r, stats)
-    return stats
+    return count_draw(dist.sample(rng, n), r, check=True)

@@ -14,8 +14,6 @@ import math
 import sys
 import time
 
-from scipy.optimize import brentq
-
 from . import __version__
 from .asymptotics import geometric_scaled_moment, poisson_pmf, regime_report
 from .distributions import Geometric, Uniform, parse_dist_spec
@@ -59,6 +57,9 @@ def _scaled_preset(name: str, scale: float) -> dict:
         # mu = n^(r+1) / ((r+1)! m^r)  =>  m = (n^(r+1) / ((r+1)! mu))^(1/r)
         p["m"] = max(1, round((n ** (r + 1) / (math.factorial(r + 1) * p["mu"])) ** (1.0 / r)))
     elif name == "fig2":
+        # imported here: scipy.optimize is over a quarter of the CLI's import
+        # time, and only this branch uses it
+        from scipy.optimize import brentq
         target = math.factorial(r + 1) * p["mu"]
         p["p"] = brentq(lambda q: geometric_scaled_moment(q, n, r) - target,
                         1e-300, 1.0 - 1e-12)
@@ -78,9 +79,9 @@ def _summary_dict(summary) -> dict:
     }
 
 
-def _emit_json(record: dict, stream=None) -> None:
-    json.dump(record, stream or sys.stdout, indent=2, sort_keys=True)
-    (stream or sys.stdout).write("\n")
+def _emit_json(record: dict) -> None:
+    json.dump(record, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def cmd_simulate(args) -> int:
@@ -173,6 +174,8 @@ def cmd_exact(args) -> int:
     dist = parse_dist_spec(args.dist)
     n, r = args.balls, args.capacity
     t0 = time.perf_counter()
+    # the law first, so that its refusals (exit 2 or 3) come before any mean work
+    law = exact_distribution(dist, n, r) if args.full_dist else None
     record = {
         "config": {"dist": args.dist, "balls": n, "capacity": r,
                    "version": __version__},
@@ -180,8 +183,7 @@ def cmd_exact(args) -> int:
         "exact_mean_via_counts": exact_mean_via_counts(dist, n, r),
         "theory": regime_report(dist, n, r).to_dict(),
     }
-    if args.full_dist:
-        law = exact_distribution(dist, n, r)
+    if law is not None:
         record["exact_distribution"] = {
             "pmf": {str(k): v for k, v in law.pmf.items()},
             "mean": law.mean,

@@ -71,7 +71,7 @@ class Uniform:
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         return np.full(self.urn_count, 1.0 / self.urn_count)
 
-    def distinct_probs(self, tail_tol: float = 1e-15):
+    def distinct_probs(self):
         """(probability, multiplicity) pairs; collapses identical urns."""
         return [(1.0 / self.urn_count, self.urn_count)]
 
@@ -123,9 +123,6 @@ class Geometric:
         # tail mass after j terms is (1-p)^j
         j_max = max(1, math.ceil(math.log(tail_tol) / math.log1p(-p)))
         return p * (1.0 - p) ** np.arange(j_max)
-
-    def distinct_probs(self, tail_tol: float = 1e-15):
-        return [(float(pm), 1) for pm in self.support_probs(tail_tol)]
 
 
 class Custom:
@@ -189,7 +186,7 @@ class Custom:
     def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
         return self.probs
 
-    def distinct_probs(self, tail_tol: float = 1e-15):
+    def distinct_probs(self):
         vals, counts = np.unique(self.probs, return_counts=True)
         return [(float(v), int(c)) for v, c in zip(vals, counts)]
 

@@ -5,20 +5,23 @@ Trial i draws from PCG64 seeded exactly as by
 derivation: the stream depends only on (seed, i), never on which trials ran
 before or on which thread.  The SeedSequence hash is computed for a block of
 1,024 trials in one numpy pass and gives the same words bit for bit, so only
-seeding PCG64 itself is left per trial.  Aggregation is an order-insensitive
-integer histogram merge, so results are bit-identical for any thread count.
+seeding PCG64 itself is left per trial.  Every run splits the trials into
+spans, counts each span's (V, L, M) triples on a thread pool and merges the
+counts, an order-insensitive integer sum, so results are bit-identical for
+any thread count.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .allocation import _check_by_counts, _sorted_stats, streaming_overflow
+from .allocation import count_draw, streaming_overflow
 from .distributions import BoxDistribution
 from .stats import EmpiricalSummary
 
@@ -131,43 +134,28 @@ def _block_words(seed: int, block: int) -> np.ndarray:
 
 
 def _trial_stats(cfg: ExperimentConfig, trial: int) -> tuple[int, int, int]:
-    # the fresh draw is this trial's own, so its keys are sorted in place
     keys = cfg.dist.sample(trial_rng(cfg.seed, trial), cfg.n)
-    keys.sort()
-    stats = _sorted_stats(keys, cfg.r)
-    if cfg.identity_checks:
-        _check_by_counts(keys, cfg.r, stats)
-        if streaming_overflow(keys, cfg.r) != stats[0]:
-            raise AssertionError(f"streaming/count overflow mismatch at trial {trial}")
+    stats = count_draw(keys, cfg.r, cfg.identity_checks)
+    if cfg.identity_checks and streaming_overflow(keys, cfg.r) != stats[0]:
+        raise AssertionError(f"streaming/count overflow mismatch at trial {trial}")
     return stats
-
-
-def _run_range(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
-    hists = {name: Counter() for name in cfg.collect}
-    for trial in range(lo, hi):
-        v, full, exact = _trial_stats(cfg, trial)
-        if "V" in hists:
-            hists["V"][v] += 1
-        if "L" in hists:
-            hists["L"][full] += 1
-        if "M" in hists:
-            hists["M"][exact] += 1
-    return hists
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run config.reps independent trials; map statistic name -> summary."""
-    if config.threads == 1:
-        merged = _run_range(config, 0, config.reps)
-    else:
-        chunk = -(-config.reps // config.threads)
-        spans = [(lo, min(lo + chunk, config.reps))
-                 for lo in range(0, config.reps, chunk)]
-        merged = {name: Counter() for name in config.collect}
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for part in pool.map(lambda span: _run_range(config, *span), spans):
-                for name, hist in part.items():
-                    merged[name] += hist
+    chunk = -(-config.reps // config.threads)
+    spans = [range(lo, min(lo + chunk, config.reps))
+             for lo in range(0, config.reps, chunk)]
+    triples = Counter()
+    # the pool starts a thread per span until max_workers, and threads beyond
+    # the CPUs only contend; the spans alone fix the result
+    with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+        for part in pool.map(lambda span: Counter(_trial_stats(config, t) for t in span),
+                             spans):
+            triples += part
+    hists = {name: Counter() for name in config.collect}
+    for triple, count in triples.items():
+        for name in config.collect:
+            hists[name][triple["VLM".index(name)]] += count
     return {name: EmpiricalSummary.from_histogram(hist)
-            for name, hist in merged.items()}
-
+            for name, hist in hists.items()}

@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import urnoverflow
+from urnoverflow import cli
 from urnoverflow.cli import PRESETS, main
 
 
@@ -110,6 +116,32 @@ def test_exact_fig2_refused_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert "budget" in err
+
+
+def test_exact_full_dist_refuses_before_any_mean_work(monkeypatch, capsys):
+    # the means of this instance take seconds; the full law is refused at once
+    def mean_route(*args, **kwargs):
+        raise AssertionError("a mean route ran before the full law was refused")
+
+    monkeypatch.setattr(cli, "exact_mean_overflow", mean_route)
+    monkeypatch.setattr(cli, "exact_mean_via_counts", mean_route)
+    code, out, err = run_cli(["exact", "--dist", "geometric:p=1e-4", "--balls", "10000",
+                              "--capacity", "4", "--full-dist"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite-support" in err
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(urnoverflow.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, urnoverflow.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_predict_fig3_normal_candidate(capsys):

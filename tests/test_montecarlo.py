@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urnoverflow import montecarlo
 from urnoverflow.allocation import overflow_stats
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import exact_distribution
@@ -42,6 +43,34 @@ def test_thread_count_invariance(threads):
     multi = ExperimentConfig(dist=Custom([3, 2, 1]), n=30, r=2, reps=4001, seed=7,
                              identity_checks=True, threads=threads)
     assert run_experiment(base) == run_experiment(multi)
+
+
+@pytest.mark.parametrize("threads,reps,workers", [(1, 50, 1), (8, 50, 2), (64, 3, 2),
+                                                  (10**6, 50, 2)])
+def test_worker_count_is_capped_at_the_cpus(monkeypatch, threads, reps, workers):
+    # each span submitted to the pool starts a thread until max_workers, so
+    # --threads alone must not set the thread count
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            return map(fn, spans)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    cfg = ExperimentConfig(dist=Uniform(40), n=30, r=2, reps=reps, seed=5, threads=threads)
+    out = run_experiment(cfg)
+    assert started == [workers]
+    assert out["V"].reps == reps
 
 
 def test_same_seed_same_result_fresh_process_state():
