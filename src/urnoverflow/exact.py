@@ -1,6 +1,7 @@
-"""Exact computations: binomial tails, the closed-form overflow mean (two
-independent routes), brute-force exact distributions on small instances, and
-exhaustive verification of the negative-dependence inequality.
+"""Exact computations: binomial tails, the overflow mean by two independent
+routes (a closed form in two incomplete-beta tails per urn, and the pmf rows
+of the retention identity), brute-force exact distributions on small
+instances, and exhaustive verification of the negative-dependence inequality.
 
 Enumeration budgets are explicit; exceeding one raises BudgetExceededError
 rather than silently approximating.
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc
+from scipy.special import betainc
 
 from .distributions import BoxDistribution
 
@@ -45,7 +46,7 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def binomial_tail(k: int, p: float, r: int) -> float:
-    """P(Bin(k, p) >= r), by scipy's incomplete-beta survival function."""
+    """P(Bin(k, p) >= r) = I_p(r, k-r+1), by scipy's betainc (Boost's ibeta)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not 0.0 <= p <= 1.0:
@@ -54,7 +55,7 @@ def binomial_tail(k: int, p: float, r: int) -> float:
         return 1.0
     if r > k:
         return 0.0
-    return float(bdtrc(r - 1, k, p))
+    return float(betainc(r, k - r + 1, p))
 
 
 def tail_bound(k: int, p: float, r: int) -> float:
@@ -73,9 +74,14 @@ def tail_bound(k: int, p: float, r: int) -> float:
 def _urns(dist: BoxDistribution, n: int, r: int, budget: int):
     """(count, block) of the urns in the mean (none when n <= r), budget
     checked first; block(lo, hi) makes the (p, multiplicity) arrays of urns
-    lo..hi-1.  Geometric urn j costs (j+1)*n; its bound n*tail_bound(n, p_j, r)
-    falls by rho = q^r per urn, so the first urn below GEOMETRIC_CUTOFF times
-    the bounds before it is the least j >= 1 with rho^j < CUT/(1 - rho + CUT)."""
+    lo..hi-1.  The budget charges n per urn (urns+1 of them when geometric),
+    the price of a per-ball sum, though neither route does that work: both
+    rules stay as policy, so fig2's 5.1e6 geometric urns are refused in
+    milliseconds, and the benchmark's two refused uniform instances, whose
+    pins the exact integer oracle contradicts, stay refused.  Geometric urn
+    j's bound n*tail_bound(n, p_j, r) falls by rho = q^r per urn, so the first
+    urn below GEOMETRIC_CUTOFF times the bounds before it is the least j >= 1
+    with rho^j < CUT/(1 - rho + CUT)."""
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     if n <= r:
@@ -101,28 +107,17 @@ def exact_mean_overflow(dist: BoxDistribution, n: int, r: int,
                         budget: int = DEFAULT_MEAN_BUDGET) -> float:
     """E V_{n,r} = sum_m p_m * sum_{k=1}^n P(Bin(k-1, p_m) >= r).
 
-    In positive terms, P(Bin(k, p) >= r) = p sum_{j<k} P(Bin(j, p) = r-1), so
-    E V = sum_m mult p^2 sum_{j=r-1}^{n-2} (n-1-j) C(j, r-1) p^{r-1} q^{j-r+1},
-    summed in logs over (urn x j) blocks of at most GRID_CELLS cells.
+    Summed over the arrivals, an urn's term is E(N - r)^+ with N = Bin(n, p).
+    E[N 1{N > r}] = n p P(Bin(n-1, p) >= r), so
+    E(N - r)^+ = n p P(Bin(n-1, p) >= r) - r P(N >= r+1),
+    with P(Bin(m, p) >= a) = I_p(a, m-a+1), the regularized incomplete beta,
+    over blocks of at most GRID_CELLS urns.
     """
     urns, block = _urns(dist, n, r, budget)
-    width = max(1, min(n - r, GRID_CELLS))
-    rows = GRID_CELLS // width
     total = 0.0
-    # log q = -inf for a lone urn with p = 1, whose only term is q^0 = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j0 in range(r - 1, n - 1, width):
-            j = np.arange(j0, min(j0 + width, n - 1))
-            # log C(j, r-1) as a sum of small logs, with no lgamma(j) anchor
-            col = np.log(n - 1 - j) + sum(np.log(j - i) for i in range(r - 1)) - math.lgamma(r)
-            for u in range(0, urns, rows):
-                p, mult = block(u, min(u + rows, urns))
-                grid = np.multiply.outer(np.log1p(-p), j - (r - 1))
-                if j0 == r - 1:
-                    grid[:, 0] = 0.0
-                grid += col
-                grid += (r + 1) * np.log(p)[:, None]
-                total += float(np.exp(grid, out=grid).sum(axis=1) @ mult)
+    for u in range(0, urns, GRID_CELLS):
+        p, mult = block(u, min(u + GRID_CELLS, urns))
+        total += float((n * p * betainc(r, n - r, p) - r * betainc(r + 1, n - r, p)) @ mult)
     return total
 
 

@@ -1,7 +1,6 @@
 """Independent routes to the overflow statistics, used by tests as oracles."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -13,9 +12,11 @@ def counts_from_sequence(balls):
 
 
 def binomial_tail_rational(k, p, r):
-    """P(Bin(k, p) >= r) summed exactly for the float p, rounded once."""
-    p = Fraction(p)
-    return float(sum(math.comb(k, i) * p**i * (1 - p)**(k - i) for i in range(r, k + 1)))
+    """P(Bin(k, p) >= r) exactly for the float p = a/b, rounded once: the
+    integer b^k less the lower tail's numerators, over b^k."""
+    a, b = float(p).as_integer_ratio()
+    lower = sum(math.comb(k, i) * a**i * (b - a)**(k - i) for i in range(r))
+    return (b**k - lower) / b**k
 
 
 def per_ball_overflow_stats(balls, r):

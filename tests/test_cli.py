@@ -118,8 +118,20 @@ def test_exact_fig2_refused_fast(capsys):
     assert "budget" in err
 
 
+def test_exact_fig4_means_fast(capsys):
+    # fig4 keeps 61,027 geometric urns above the cutoff; neither route sums over the balls
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["exact", "--dist", "geometric:p=1e-4", "--balls", "10000",
+                            "--capacity", "4", "--no-timing"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    record = json.loads(out)
+    assert record["exact_mean_overflow"] == pytest.approx(record["exact_mean_via_counts"],
+                                                          rel=1e-12)
+
+
 def test_exact_full_dist_refuses_before_any_mean_work(monkeypatch, capsys):
-    # the means of this instance take seconds; the full law is refused at once
+    # the full law of a geometric instance is refused before either mean runs
     def mean_route(*args, **kwargs):
         raise AssertionError("a mean route ran before the full law was refused")
 

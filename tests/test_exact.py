@@ -51,7 +51,10 @@ def test_binomial_tail_stable_at_figure_scale():
     assert got == pytest.approx(sps.binom.sf(50_999, 100_000, 0.5), rel=1e-8)
 
 
-@pytest.mark.parametrize("k,p,r", [(1, 1e-9, 1), (10, 1e-12, 1), (3, 1e-5, 1)])
+@pytest.mark.parametrize("k,p,r", [
+    (1, 1e-9, 1), (10, 1e-12, 1), (3, 1e-5, 1),
+    (9999, 1 / 25118, 2), (10_000, 1e-4, 4), (10_000, 1e-6, 5),
+])
 def test_binomial_tail_keeps_small_tails_relative(k, p, r):
     # a complemented lower tail, 1 - P(Bin < r), loses the digits of a tail this small
     expected = binomial_tail_rational(k, p, r)
@@ -147,7 +150,8 @@ def test_array_routes_match_loop_oracles(dist, n, r):
     (Geometric(0.3), 40, 3), (Custom([5, 3, 2, 1]), 9, 2), (Uniform(1), 7, 2),
 ])
 def test_blocked_routes_match_one_block(monkeypatch, dist, n, r):
-    # a tiny block size splits every grid into many blocks along both axes
+    # a tiny block size splits the urns of both means, and the count vectors
+    # of the full law, into many blocks
     means = (exact_mean_overflow(dist, n, r), exact_mean_via_counts(dist, n, r))
     pmf = exact_distribution(dist, n, r).pmf if dist.finite_support else None
     monkeypatch.setattr(exact, "GRID_CELLS", 7)
@@ -164,7 +168,7 @@ def test_counts_route_where_q_to_the_n_underflows():
     # n p = 1000, so P(N = 0) = 2^-2000 underflows and the pmf rows go in logs
     want = loop_mean_overflow([(0.5, 2)], 2000, 900)
     assert exact_mean_via_counts(Uniform(2), 2000, 900) == pytest.approx(want, rel=1e-12)
-    assert exact_mean_overflow(Uniform(2), 2000, 900) == pytest.approx(want, rel=1e-11)
+    assert exact_mean_overflow(Uniform(2), 2000, 900) == pytest.approx(want, rel=1e-14)
 
 
 def test_mean_budget_raises():
