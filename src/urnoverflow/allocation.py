@@ -4,7 +4,9 @@ One sort-and-shift kernel gives all three: on the sorted draw s, a ball has at
 least k earlier urn-mates exactly when s[i] == s[i-k], so the overflow V_k at
 capacity k counts those positions (V_0 = n), and L_r = V_{r-1} - V_r and
 M_r = V_{r-1} - 2 V_r + V_{r+1}.  The count route (n - sum_m min(count_m, r),
-#(count >= r), #(count == r) on the final counts) is its independent check.
+#(count >= r), #(count == r) on the final counts) is its independent check;
+it reads the counts as the lengths of the runs of equal keys in the sorted
+draw, after checking that the draw is sorted, so it needs no second sort.
 Only equality of urn indices matters, so the kernel sorts the keys it is
 given; the samplers already draw them as int32 whenever every index fits.
 The kernel has two halves: the sort, and the count on sorted keys
@@ -82,9 +84,23 @@ def full_counts(counts, r: int) -> tuple[int, int]:
 
 def _check_by_counts(s: np.ndarray, r: int, stats: tuple[int, int, int]) -> None:
     """Raise AssertionError unless the count route on the sorted draw s gives
-    the kernel's (V, L, M)."""
-    _, counts = np.unique(s, return_counts=True)
-    by_counts = (overflow_from_counts(counts, s.size, r), *full_counts(counts, r))
+    the kernel's (V, L, M).
+
+    The urn counts are the lengths of the runs of equal keys in s, which holds
+    only if s is sorted, so that is checked first.  Over the full urns
+    (count >= r), V = n - sum_m min(count_m, r) is sum (count_m - r).
+    """
+    head, tail = s[:-1], s[1:]
+    if not (tail >= head).all():
+        raise AssertionError("count route needs a sorted draw")
+    starts = np.empty(s.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(tail, head, out=starts[1:-1])
+    edges = np.flatnonzero(starts)
+    counts = edges[1:] - edges[:-1]
+    full = counts[counts >= r]
+    by_counts = (int(full.sum()) - r * full.size, full.size,
+                 int(np.count_nonzero(full == r)))
     if stats != by_counts:
         raise AssertionError(
             f"(V, L, M) mismatch: sort-and-shift={stats} count route={by_counts}")

@@ -6,9 +6,10 @@ derivation: the stream depends only on (seed, i), never on which trials ran
 before or on which thread.  The SeedSequence hash is computed for a block of
 1,024 trials in one numpy pass and gives the same words bit for bit, so only
 seeding PCG64 itself is left per trial.  Every run splits the trials into
-spans, counts each span's (V, L, M) triples on a thread pool and merges the
-counts, an order-insensitive integer sum, so results are bit-identical for
-any thread count.
+spans, counts each span's (V, L, M) triples (a single span on the calling
+thread, several on a thread pool) and merges the counts, an
+order-insensitive integer sum, so results are bit-identical for any thread
+count.
 """
 
 from __future__ import annotations
@@ -146,13 +147,19 @@ def run_experiment(config: ExperimentConfig) -> dict:
     chunk = -(-config.reps // config.threads)
     spans = [range(lo, min(lo + chunk, config.reps))
              for lo in range(0, config.reps, chunk)]
-    triples = Counter()
-    # the pool starts a thread per span until max_workers, and threads beyond
-    # the CPUs only contend; the spans alone fix the result
-    with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-        for part in pool.map(lambda span: Counter(_trial_stats(config, t) for t in span),
-                             spans):
-            triples += part
+
+    def count_span(span):
+        return Counter(_trial_stats(config, t) for t in span)
+
+    if len(spans) == 1:
+        triples = count_span(spans[0])
+    else:
+        triples = Counter()
+        # the pool starts a thread per span until max_workers, and threads
+        # beyond the CPUs only contend; the spans alone fix the result
+        with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+            for part in pool.map(count_span, spans):
+                triples += part
     hists = {name: Counter() for name in config.collect}
     for triple, count in triples.items():
         for name in config.collect:

@@ -210,3 +210,57 @@ def test_count_route_check_names_both_triples():
     with pytest.raises(AssertionError,
                        match=re.escape(f"sort-and-shift={wrong} count route={(v, full, exactly)}")):
         _check_by_counts(s, 2, wrong)
+
+
+def _assert_check_catches_each_component(s, r, right):
+    _check_by_counts(s, r, right)
+    for i in range(3):
+        for delta in (-1, 1):
+            wrong = tuple(x + delta * (j == i) for j, x in enumerate(right))
+            with pytest.raises(AssertionError, match="count route="):
+                _check_by_counts(s, r, wrong)
+
+
+@st.composite
+def _sorted_draws(draw):
+    """A sorted draw of 1..300 keys over a few urns anywhere in the dtype's
+    range, negative and >= 2**31 indices included."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    near = st.integers(-3, 3) | st.integers(2**31 - 3, 2**31 + 3).filter(
+        lambda k: k <= info.max)
+    urns = draw(st.lists(near | st.integers(info.min, info.max),
+                         min_size=1, max_size=40, unique=True))
+    n = draw(st.integers(1, 300))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(urns), n)
+    return np.sort(np.array(urns, dtype=dtype)[picks])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sorted_draws(), st.integers(1, 6))
+@example(np.array([-1, -1, 2**31, 2**31, 2**31], dtype=np.int64), 2)
+@example(np.array([-2**31, -2**31, 2**31 - 1], dtype=np.int32), 1)
+def test_count_check_accepts_the_oracle_triple_and_rejects_any_off_by_one(s, r):
+    _assert_check_catches_each_component(s, r, per_ball_overflow_stats(s, r))
+
+
+@pytest.mark.parametrize("s, r, right", [
+    ([7], 1, (0, 1, 1)),
+    ([7], 2, (0, 0, 0)),
+    ([3] * 10, 4, (6, 1, 0)),
+    ([3] * 10, 10, (0, 1, 1)),
+    (list(range(10)), 1, (0, 10, 10)),
+    (list(range(10)), 2, (0, 0, 0)),
+])
+def test_count_check_edge_draws(s, r, right):
+    for dtype in (np.int32, np.int64):
+        _assert_check_catches_each_component(np.array(s, dtype=dtype), r, right)
+
+
+@pytest.mark.parametrize("s", [[1, 0], [5, 5, 3, 3], [2, 1, 2], [0, 1, 0, 1]])
+def test_count_check_rejects_an_unsorted_draw(s):
+    # the triple is right, and on [1, 0] and [5, 5, 3, 3] so are the run
+    # lengths: only the order check can catch these
+    s = np.array(s, dtype=np.int32)
+    with pytest.raises(AssertionError, match="sorted"):
+        _check_by_counts(s, 2, per_ball_overflow_stats(s, 2))

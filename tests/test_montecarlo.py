@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnoverflow import montecarlo
+from urnoverflow import allocation, montecarlo
 from urnoverflow.allocation import overflow_stats
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import exact_distribution
@@ -49,7 +49,8 @@ def test_thread_count_invariance(threads):
                                                   (10**6, 50, 2)])
 def test_worker_count_is_capped_at_the_cpus(monkeypatch, threads, reps, workers):
     # each span submitted to the pool starts a thread until max_workers, so
-    # --threads alone must not set the thread count
+    # --threads alone must not set the thread count; a single span runs on
+    # the calling thread and starts no pool
     started = []
 
     class InlinePool:
@@ -69,8 +70,39 @@ def test_worker_count_is_capped_at_the_cpus(monkeypatch, threads, reps, workers)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     cfg = ExperimentConfig(dist=Uniform(40), n=30, r=2, reps=reps, seed=5, threads=threads)
     out = run_experiment(cfg)
-    assert started == [workers]
+    assert started == ([] if workers == 1 else [workers])
     assert out["V"].reps == reps
+
+
+def test_one_span_runs_without_a_pool(monkeypatch):
+    cfg = dict(dist=Geometric(0.1), n=40, r=2, reps=300, seed=11)
+    pooled = run_experiment(ExperimentConfig(**cfg, threads=2))
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise RuntimeError("no thread pool for a single span")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", NoPool)
+    assert run_experiment(ExperimentConfig(**cfg, threads=1)) == pooled
+    with pytest.raises(RuntimeError, match="no thread pool"):
+        run_experiment(ExperimentConfig(**cfg, threads=2))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_identity_checks_catch_a_kernel_fault(monkeypatch, threads):
+    # only the count route can see a wrong M: the streaming comparison reads V
+    true_sorted_stats = allocation._sorted_stats
+
+    def m_off_by_one(s, r):
+        v, full, exactly = true_sorted_stats(s, r)
+        return v, full, exactly + 1
+
+    monkeypatch.setattr(allocation, "_sorted_stats", m_off_by_one)
+    cfg = dict(dist=Uniform(40), n=60, r=2, reps=50, seed=3, threads=threads)
+    with pytest.raises(AssertionError, match=r"count route=\("):
+        run_experiment(ExperimentConfig(**cfg, identity_checks=True))
+    out = run_experiment(ExperimentConfig(**cfg, identity_checks=False))
+    assert out["M"].reps == 50
 
 
 def test_same_seed_same_result_fresh_process_state():
