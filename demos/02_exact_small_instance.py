@@ -1,27 +1,24 @@
-"""Exact overflow law on a small instance, computed three independent ways.
+"""Exact overflow law on a small instance, and its mean three ways.
 
-A count-vector enumeration with multinomial weights, a brute-force sweep over
-every ordered ball sequence, and two closed-form mean formulas all agree to
-floating-point precision.
+A count-vector enumeration with multinomial weights gives the whole law; its
+mean agrees with the two closed-form mean formulas to floating-point
+precision.
 """
 
-from urnoverflow import (Custom, exact_distribution, exact_mean_overflow,
-                         exact_mean_via_counts, sequence_enumeration_distribution)
+from urnoverflow import Custom, exact_distribution, exact_mean_overflow, exact_mean_via_counts
 
 dist = Custom([5, 3, 2])
 n, r = 6, 2
 
-by_counts = exact_distribution(dist, n, r)
-by_sequences = sequence_enumeration_distribution(dist, n, r)
+law = exact_distribution(dist, n, r)
 
 print(f"exact law of the overflow, n={n}, r={r}, weights 5:3:2")
-for v in sorted(by_counts.pmf):
-    print(f"  P(V = {v}) = {by_counts.pmf[v]:.10f}"
-          f"   (sequence oracle: {by_sequences.pmf.get(v, 0.0):.10f})")
+for v, p in law.pmf.items():
+    print(f"  P(V = {v}) = {p:.10f}")
 
 m1 = exact_mean_overflow(dist, n, r)
 m2 = exact_mean_via_counts(dist, n, r)
 print(f"mean via arrival-time tails : {m1:.12f}")
 print(f"mean via per-urn retention  : {m2:.12f}")
-print(f"mean from the enumerated law: {by_counts.mean:.12f}")
-assert abs(m1 - m2) < 1e-12 and abs(m1 - by_counts.mean) < 1e-12
+print(f"mean from the enumerated law: {law.mean:.12f}")
+assert abs(m1 - m2) < 1e-12 and abs(m1 - law.mean) < 1e-12

@@ -7,15 +7,13 @@ count M, with diagnostics for the Poisson and normal limit regimes.
 
 __version__ = "0.1.0"
 
-from .allocation import (full_counts, overflow_from_counts, overflow_stats,
-                         run_trial, streaming_overflow)
+from .allocation import overflow_stats, run_trial, streaming_overflow
 from .asymptotics import RegimeReport, geometric_scaled_moment, poisson_pmf, regime_report
 from .distributions import (BoxDistribution, Custom, Geometric, Uniform,
                             p_star, parse_dist_spec, power_moment)
 from .exact import (BudgetExceededError, ExactDistribution, binomial_tail,
                     exact_distribution, exact_mean_overflow,
-                    exact_mean_via_counts, nod_check, nod_joint_table,
-                    sequence_enumeration_distribution, tail_bound)
+                    exact_mean_via_counts, nod_check, nod_joint_table, tail_bound)
 from .montecarlo import ExperimentConfig, run_experiment
 from .stats import EmpiricalSummary, chi_square_poisson, ks_normal, tv_distance_poisson
 
@@ -24,10 +22,9 @@ __all__ = [
     "EmpiricalSummary", "ExactDistribution", "ExperimentConfig", "Geometric",
     "RegimeReport", "Uniform", "binomial_tail", "chi_square_poisson",
     "exact_distribution", "exact_mean_overflow",
-    "exact_mean_via_counts", "full_counts", "geometric_scaled_moment",
-    "ks_normal", "nod_check", "nod_joint_table", "overflow_from_counts", "overflow_stats",
+    "exact_mean_via_counts", "geometric_scaled_moment",
+    "ks_normal", "nod_check", "nod_joint_table", "overflow_stats",
     "p_star", "parse_dist_spec", "poisson_pmf", "power_moment",
     "regime_report", "run_experiment", "run_trial",
-    "sequence_enumeration_distribution", "streaming_overflow", "tail_bound",
-    "tv_distance_poisson",
+    "streaming_overflow", "tail_bound", "tv_distance_poisson",
 ]

@@ -25,8 +25,6 @@ __all__ = [
     "run_trial",
     "count_draw",
     "overflow_stats",
-    "overflow_from_counts",
-    "full_counts",
     "streaming_overflow",
 ]
 
@@ -59,27 +57,6 @@ def streaming_overflow(balls: np.ndarray, r: int) -> int:
     if r < 1:
         raise ValueError("capacity r must be >= 1")
     return _shifted_matches(np.sort(balls), r)
-
-
-def overflow_from_counts(counts, n: int, r: int) -> int:
-    """n - sum_m min(count_m, r); rejects count maps that do not sum to n."""
-    if r < 1:
-        raise ValueError("capacity r must be >= 1")
-    values = np.asarray(list(counts.values()) if isinstance(counts, dict) else counts,
-                        dtype=np.int64)
-    total = int(values.sum())
-    if total != n:
-        raise ValueError(f"counts sum to {total}, expected n={n}")
-    return int(n - np.minimum(values, r).sum())
-
-
-def full_counts(counts, r: int) -> tuple[int, int]:
-    """(L, M): urns with count >= r and urns with count == r."""
-    if r < 1:
-        raise ValueError("capacity r must be >= 1")
-    values = np.asarray(list(counts.values()) if isinstance(counts, dict) else counts,
-                        dtype=np.int64)
-    return int(np.count_nonzero(values >= r)), int(np.count_nonzero(values == r))
 
 
 def _check_by_counts(s: np.ndarray, r: int, stats: tuple[int, int, int]) -> None:

@@ -214,15 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "regime diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_dist_args(p, with_reps):
-        p.add_argument("--dist", help="uniform:m=<int> | geometric:p=<real> | custom:@<path>")
-        p.add_argument("--balls", type=int, help="number of balls n")
-        p.add_argument("--capacity", type=int, help="urn capacity r")
-        if with_reps:
-            p.add_argument("--reps", type=int, help="number of replications")
+    def add_dist_args(p, required):
+        p.add_argument("--dist", required=required,
+                       help="uniform:m=<int> | geometric:p=<real> | custom:@<path>")
+        p.add_argument("--balls", type=int, required=required, help="number of balls n")
+        p.add_argument("--capacity", type=int, required=required, help="urn capacity r")
 
     sim = sub.add_parser("simulate", help="Monte Carlo experiment")
-    add_dist_args(sim, with_reps=True)
+    add_dist_args(sim, required=False)    # --preset supplies them
+    sim.add_argument("--reps", type=int, help="number of replications")
     sim.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
     sim.add_argument("--collect", default="v,l,m", help="comma subset of v,l,m")
     sim.add_argument("--gof", choices=["poisson", "normal"], default=None)
@@ -237,25 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     exa = sub.add_parser("exact", help="exact mean and small-instance distribution")
-    add_dist_args(exa, with_reps=False)
+    add_dist_args(exa, required=True)
     exa.add_argument("--full-dist", action="store_true")
     exa.add_argument("--no-timing", action="store_true")
     exa.set_defaults(func=cmd_exact)
 
     pre = sub.add_parser("predict", help="regime report only")
-    add_dist_args(pre, with_reps=False)
+    add_dist_args(pre, required=True)
     pre.set_defaults(func=cmd_predict)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("exact", "predict"):
-        missing = [f"--{name}" for name in ("dist", "balls", "capacity")
-                   if getattr(args, name) is None]
-        if missing:
-            parser.error("missing required flags: " + ", ".join(missing))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

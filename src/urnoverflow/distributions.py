@@ -3,7 +3,9 @@
 Three kinds are supported: uniform over a finite set of urns, geometric on
 {0, 1, 2, ...}, and an explicit weight vector.  All expose the largest
 single-urn probability (``p_star``), the power moments sum(p_m^(r+1)) that
-drive the limit regimes, and vectorized per-ball sampling.
+drive the limit regimes, and vectorized per-ball sampling.  Only the finite
+laws list their urn masses (``support_size``, ``support_probs``,
+``distinct_probs``).
 
 Urn indices are 0-based everywhere.  Every sampler returns a fresh array that
 the caller owns (the trial loop sorts it in place), as int32 whenever the
@@ -68,7 +70,7 @@ class Uniform:
         dtype = np.int32 if self.urn_count <= 2**31 else np.int64
         return rng.integers(0, self.urn_count, size=size, dtype=dtype)
 
-    def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
+    def support_probs(self) -> np.ndarray:
         return np.full(self.urn_count, 1.0 / self.urn_count)
 
     def distinct_probs(self):
@@ -116,13 +118,6 @@ class Geometric:
         # p = 1.7e-8
         top = math.floor(math.log1p(-_U_MAX) / log_q)
         return u.astype(np.int32 if top < 2**31 - 1 else np.int64)
-
-    def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
-        """Leading masses until the remaining tail mass drops below tail_tol."""
-        p = self.success_prob
-        # tail mass after j terms is (1-p)^j
-        j_max = max(1, math.ceil(math.log(tail_tol) / math.log1p(-p)))
-        return p * (1.0 - p) ** np.arange(j_max)
 
 
 class Custom:
@@ -183,7 +178,7 @@ class Custom:
         idx = np.searchsorted(self.cdf, rng.random(size), side="right")
         return idx.astype(np.int32 if self.probs.size <= 2**31 else np.int64)
 
-    def support_probs(self, tail_tol: float = 1e-15) -> np.ndarray:
+    def support_probs(self) -> np.ndarray:
         return self.probs
 
     def distinct_probs(self):

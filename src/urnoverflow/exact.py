@@ -1,7 +1,8 @@
 """Exact computations: binomial tails, the overflow mean by two independent
 routes (a closed form in two incomplete-beta tails per urn, and the pmf rows
-of the retention identity), brute-force exact distributions on small
-instances, and exhaustive verification of the negative-dependence inequality.
+of the retention identity), the exact law of the overflow on small instances
+by enumerating count vectors, and exhaustive verification of the
+negative-dependence inequality.
 
 Enumeration budgets are explicit; exceeding one raises BudgetExceededError
 rather than silently approximating.
@@ -26,7 +27,6 @@ __all__ = [
     "exact_mean_via_counts",
     "ExactDistribution",
     "exact_distribution",
-    "sequence_enumeration_distribution",
     "nod_joint_table",
     "nod_check",
 ]
@@ -162,16 +162,6 @@ class ExactDistribution:
     variance: float
 
 
-def _finish(pmf: dict, n: int, r: int) -> ExactDistribution:
-    total = sum(pmf.values())
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError(f"pmf mass {total} is not 1")
-    mean = sum(v * w for v, w in pmf.items())
-    var = sum((v - mean) ** 2 * w for v, w in pmf.items())
-    return ExactDistribution(pmf=dict(sorted(pmf.items())), n=n, r=r,
-                             mean=mean, variance=var)
-
-
 def exact_distribution(dist: BoxDistribution, n: int, r: int,
                        budget: int = DEFAULT_ORACLE_BUDGET) -> ExactDistribution:
     """Enumerate all count vectors with multinomial weights; exact pmf of V.
@@ -202,33 +192,13 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int,
         v = n - np.minimum(c, r).sum(axis=1)
         mass += np.bincount(v, weights=w, minlength=n + 1)
     lo, hi = n - min(n, s * r), n - min(n, r)   # n - V = sum min(c, r) takes each value between
-    return _finish({v: float(mass[v]) for v in range(lo, hi + 1)}, n, r)
-
-
-def sequence_enumeration_distribution(dist: BoxDistribution, n: int, r: int,
-                                      budget: int = DEFAULT_ORACLE_BUDGET) -> ExactDistribution:
-    """Enumerate every ordered ball sequence; oracle for the order-based
-    definition of the overflow (ball k overflows iff its urn already holds r)."""
-    if not dist.finite_support:
-        raise ValueError("sequence enumeration requires a finite support")
-    s = dist.support_size
-    if s ** n > budget:
-        raise BudgetExceededError(
-            f"{s ** n} ball sequences exceed oracle budget {budget}")
-    probs = dist.support_probs()
-    pmf: dict[int, float] = {}
-    counts = np.zeros(s, dtype=np.int64)
-    for seq in itertools.product(range(s), repeat=n):
-        counts[:] = 0
-        v = 0
-        w = 1.0
-        for urn in seq:
-            if counts[urn] >= r:
-                v += 1
-            counts[urn] += 1
-            w *= probs[urn]
-        pmf[v] = pmf.get(v, 0.0) + w
-    return _finish(pmf, n, r)
+    pmf = {v: float(mass[v]) for v in range(lo, hi + 1)}
+    total = sum(pmf.values())
+    if abs(total - 1.0) > 1e-10:
+        raise AssertionError(f"pmf mass {total} is not 1")
+    mean = sum(v * w for v, w in pmf.items())
+    var = sum((v - mean) ** 2 * w for v, w in pmf.items())
+    return ExactDistribution(pmf=pmf, n=n, r=r, mean=mean, variance=var)
 
 
 # ---------------------------------------------------------------------------

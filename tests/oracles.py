@@ -1,14 +1,26 @@
 """Independent routes to the overflow statistics, used by tests as oracles."""
 
+import itertools
 import math
 
 import numpy as np
 
 
-def counts_from_sequence(balls):
-    """Map urn index -> ball count for the urns that were hit."""
-    urns, counts = np.unique(np.asarray(balls), return_counts=True)
-    return {int(u): int(c) for u, c in zip(urns, counts)}
+def count_route_stats(balls, r):
+    """(V, L, M) from the final urn counts c: V = sum (c - r)^+, L = #(c >= r)
+    and M = #(c == r)."""
+    _, c = np.unique(np.asarray(balls), return_counts=True)
+    return (int(np.maximum(c - r, 0).sum()), int(np.count_nonzero(c >= r)),
+            int(np.count_nonzero(c == r)))
+
+
+def support_masses(dist):
+    """Urn masses of dist; for a geometric law, the leading masses p q^j until
+    the remaining tail mass q^j drops below 1e-15."""
+    if dist.finite_support:
+        return dist.support_probs()
+    p = dist.success_prob
+    return p * (1.0 - p) ** np.arange(math.ceil(math.log(1e-15) / math.log1p(-p)))
 
 
 def binomial_tail_rational(k, p, r):
@@ -31,6 +43,16 @@ def per_ball_overflow_stats(balls, r):
     full = sum(c >= r for c in held.values())
     exactly = sum(c == r for c in held.values())
     return overflow, full, exactly
+
+
+def sequence_overflow_pmf(probs, n, r):
+    """pmf of V over every ordered sequence of n balls, each replayed ball by
+    ball and weighted by the product of its urn probabilities `probs`."""
+    pmf = {}
+    for seq in itertools.product(range(len(probs)), repeat=n):
+        v = per_ball_overflow_stats(seq, r)[0]
+        pmf[v] = pmf.get(v, 0.0) + math.prod(probs[b] for b in seq)
+    return pmf
 
 
 def seedsequence_rng(seed, trial):

@@ -15,18 +15,17 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from urnoverflow.allocation import full_counts, overflow_from_counts, streaming_overflow
+from urnoverflow.allocation import streaming_overflow
 from urnoverflow.asymptotics import regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform, power_moment
 from urnoverflow.exact import (binomial_tail, exact_distribution,
                                exact_mean_overflow, exact_mean_via_counts,
-                               nod_joint_table, sequence_enumeration_distribution,
-                               tail_bound)
+                               nod_joint_table, tail_bound)
 from urnoverflow.montecarlo import ExperimentConfig, run_experiment
 from urnoverflow.stats import (EmpiricalSummary, chi_square_poisson, ks_normal,
                                tv_distance_poisson)
 
-from oracles import batch_overflows, counts_from_sequence
+from oracles import batch_overflows, count_route_stats, sequence_overflow_pmf
 
 SMALL_GRID_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]
 
@@ -79,12 +78,11 @@ def test_criterion_01_exact_identities():
         s = int(rng.integers(1, 21))
         dist = Uniform(s) if rng.random() < 0.5 else Custom(rng.random(s) + 0.05)
         balls = dist.sample(rng, n)
-        counts = counts_from_sequence(balls)
         v = streaming_overflow(balls, r)
-        assert v == overflow_from_counts(counts, n, r)
+        by_counts, L, M = count_route_stats(balls, r)
+        assert v == by_counts
         v_lo = n if r == 1 else streaming_overflow(balls, r - 1)
         v_hi = streaming_overflow(balls, r + 1)
-        L, M = full_counts(counts, r)
         assert v_lo - v == L and v_lo - 2 * v + v_hi == M
     elapsed = time.time() - t0
     report(1, "exact-identity-suite", elapsed < 5.0, f"runtime {elapsed:.2f}s")
@@ -96,10 +94,10 @@ def test_criterion_02_oracle_equivalence():
     worst_pmf_gap = worst_mean_gap = worst_tv = 0.0
     for dist, n, r in itertools.product(SMALL_GRID_DISTS, range(1, 7), range(1, 4)):
         by_counts = exact_distribution(dist, n, r)
-        by_seq = sequence_enumeration_distribution(dist, n, r)
-        for v in set(by_counts.pmf) | set(by_seq.pmf):
+        by_seq = sequence_overflow_pmf(dist.support_probs(), n, r)
+        for v in set(by_counts.pmf) | set(by_seq):
             worst_pmf_gap = max(worst_pmf_gap, abs(
-                by_counts.pmf.get(v, 0.0) - by_seq.pmf.get(v, 0.0)))
+                by_counts.pmf.get(v, 0.0) - by_seq.get(v, 0.0)))
         m1 = exact_mean_overflow(dist, n, r)
         m2 = exact_mean_via_counts(dist, n, r)
         worst_mean_gap = max(worst_mean_gap, abs(m1 - m2),

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urnoverflow.allocation import (_check_by_counts, full_counts,
-                                    overflow_from_counts, overflow_stats,
-                                    run_trial, streaming_overflow)
+from urnoverflow.allocation import (_check_by_counts, overflow_stats, run_trial,
+                                    streaming_overflow)
 from urnoverflow.distributions import Custom, Geometric, Uniform
 
-from oracles import counts_from_sequence, per_ball_overflow_stats
+from oracles import count_route_stats, per_ball_overflow_stats
 
 
 def test_single_urn_trial():
@@ -34,31 +33,13 @@ def test_uniform2_n4_r1_support():
         assert v in (2, 3)
 
 
-def test_overflow_from_counts_examples():
-    assert overflow_from_counts({"A": 3, "B": 2}, n=5, r=2) == 1
-    assert overflow_from_counts({"A": 1, "B": 1, "C": 1}, n=3, r=1) == 0
-    assert overflow_from_counts({"A": 4}, n=4, r=1) == 3
-
-
-def test_overflow_from_counts_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        overflow_from_counts({"A": 3}, n=5, r=2)
-
-
-def test_full_counts_examples():
-    assert full_counts({"A": 3, "B": 2, "C": 1}, r=2) == (2, 1)
-    assert full_counts({}, r=3) == (0, 0)
-    assert full_counts({"A": 2, "B": 2}, r=2) == (2, 2)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 5), st.integers(1, 12),
        st.integers(0, 2**32 - 1))
 def test_streaming_equals_count_based(n, r, urns, seed):
     rng = np.random.default_rng(seed)
     balls = Uniform(urns).sample(rng, n)
-    counts = counts_from_sequence(balls)
-    assert streaming_overflow(balls, r) == overflow_from_counts(counts, n, r)
+    assert streaming_overflow(balls, r) == count_route_stats(balls, r)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,9 +109,8 @@ def test_geometric_draw_beyond_int32_matches_count_route():
     n = 10**4
     balls = Geometric(1e-9).sample(np.random.default_rng(9), n)
     assert balls.max() > 2**31 - 1
-    counts = counts_from_sequence(balls)
     for r in (1, 2, 3):
-        expected = (overflow_from_counts(counts, n, r), *full_counts(counts, r))
+        expected = count_route_stats(balls, r)
         assert overflow_stats(balls, r) == expected
         assert streaming_overflow(balls, r) == expected[0]
 
@@ -148,8 +128,7 @@ def test_telescoping_identities(n, r, urns, seed):
     # L_r = V_{r-1} - V_r and M_r = V_{r-1} - 2 V_r + V_{r+1}, with V_0 = n
     rng = np.random.default_rng(seed)
     balls = Uniform(urns).sample(rng, n)
-    counts = counts_from_sequence(balls)
-    L, M = full_counts(counts, r)
+    _, L, M = count_route_stats(balls, r)
     v_lo, v, v_hi = _v_of(balls, r - 1), _v_of(balls, r), _v_of(balls, r + 1)
     assert v_lo - v == L
     assert v_lo - 2 * v + v_hi == M
@@ -161,8 +140,7 @@ def test_r1_specializations(n, urns, seed):
     # L_1 = n - V_1 and M_1 = n - 2 V_1 + V_2
     rng = np.random.default_rng(seed)
     balls = Uniform(urns).sample(rng, n)
-    counts = counts_from_sequence(balls)
-    L, M = full_counts(counts, 1)
+    _, L, M = count_route_stats(balls, 1)
     v1, v2 = streaming_overflow(balls, 1), streaming_overflow(balls, 2)
     assert L == n - v1
     assert M == n - 2 * v1 + v2

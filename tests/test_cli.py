@@ -289,8 +289,9 @@ def test_consecutive_calls_share_no_state(capsys):
     code, out, _ = run_cli(simulate, capsys)
     assert code == 0 and json.loads(out)["fit"] == {}
 
-    with pytest.raises(SystemExit) as exc:
-        main(["exact", "--dist", "uniform:m=2", "--balls", "4"])
-    assert exc.value.code == 2
+    for command in ("exact", "predict"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dist", "uniform:m=2", "--balls", "4"])
+        assert exc.value.code == 2
     code, out, _ = run_cli(exact, capsys)
     assert code == 0 and json.loads(out)["exact_mean_overflow"] == pytest.approx(2.125)

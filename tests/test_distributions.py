@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from urnoverflow.distributions import (Custom, Geometric, Uniform, p_star,
                                        parse_dist_spec, power_moment)
 
+from oracles import support_masses
+
 
 def test_p_star_examples():
     assert p_star(Uniform(4)) == 0.25
@@ -30,7 +32,7 @@ def test_power_moment_examples():
 ])
 @pytest.mark.parametrize("r", range(1, 7))
 def test_closed_form_matches_direct_sum(dist, r):
-    direct = float(np.sum(dist.support_probs(tail_tol=1e-15) ** (r + 1)))
+    direct = float(np.sum(support_masses(dist) ** (r + 1)))
     assert power_moment(dist, r) == pytest.approx(direct, abs=1e-12)
 
 
@@ -166,7 +168,7 @@ def test_empirical_frequencies_within_5_se(dist):
     rng = np.random.default_rng(99)
     n = 10**6
     draws = dist.sample(rng, n)
-    probs = dist.support_probs()
+    probs = support_masses(dist)
     for urn, p in enumerate(probs[:50]):
         freq = np.mean(draws == urn)
         se = math.sqrt(p * (1 - p) / n)

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from oracles import (binomial_tail_rational, exact_mean_rational, loop_mean_overflow,
-                     loop_overflow_pmf)
+                     loop_overflow_pmf, sequence_overflow_pmf)
 from urnoverflow import exact
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (BudgetExceededError, binomial_tail,
                                exact_distribution, exact_mean_overflow,
-                               exact_mean_via_counts, nod_check,
-                               sequence_enumeration_distribution, tail_bound)
+                               exact_mean_via_counts, nod_check, tail_bound)
 
 SMALL_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]
 
@@ -207,10 +206,10 @@ def test_sequence_enumeration_matches_count_oracle():
     for dist in SMALL_DISTS:
         for n, r in [(4, 1), (5, 2), (6, 3)]:
             by_counts = exact_distribution(dist, n, r)
-            by_seq = sequence_enumeration_distribution(dist, n, r)
-            assert set(by_counts.pmf) == set(by_seq.pmf)
+            by_seq = sequence_overflow_pmf(dist.support_probs(), n, r)
+            assert set(by_counts.pmf) == set(by_seq)
             for v in by_counts.pmf:
-                assert by_counts.pmf[v] == pytest.approx(by_seq.pmf[v], abs=1e-12)
+                assert by_counts.pmf[v] == pytest.approx(by_seq[v], abs=1e-12)
 
 
 def test_variance_upper_bound_on_oracle_instances():
