@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .allocation import overflow_stats, run_trial, streaming_overflow
 from .asymptotics import RegimeReport, geometric_scaled_moment, poisson_pmf, regime_report
 from .distributions import (BoxDistribution, Custom, Geometric, Uniform,
-                            p_star, parse_dist_spec, power_moment)
+                            parse_dist_spec)
 from .exact import (BudgetExceededError, ExactDistribution, binomial_tail,
                     exact_distribution, exact_mean_overflow,
                     exact_mean_via_counts, nod_check, nod_joint_table, tail_bound)
@@ -24,7 +24,7 @@ __all__ = [
     "exact_distribution", "exact_mean_overflow",
     "exact_mean_via_counts", "geometric_scaled_moment",
     "ks_normal", "nod_check", "nod_joint_table", "overflow_stats",
-    "p_star", "parse_dist_spec", "poisson_pmf", "power_moment",
+    "parse_dist_spec", "poisson_pmf",
     "regime_report", "run_experiment", "run_trial",
     "streaming_overflow", "tail_bound", "tv_distance_poisson",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .distributions import BoxDistribution, Geometric, p_star, power_moment
+from .distributions import BoxDistribution, Geometric
 
 __all__ = [
     "RegimeReport",
@@ -58,8 +58,10 @@ def _classify(n_p_star: float, scaled_moment: float) -> str:
 
 def regime_report(dist: BoxDistribution, n: int, r: int) -> RegimeReport:
     """Diagnostics for the instance: n*p*, n^(r+1)*E p^r, mu, variance bracket."""
-    nps = n * p_star(dist)
-    scaled = float(n) ** (r + 1) * power_moment(dist, r)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    nps = n * dist.p_star()
+    scaled = float(n) ** (r + 1) * dist.power_moment(r)
     mu = scaled / math.factorial(r + 1)
     return RegimeReport(
         n_p_star=nps,

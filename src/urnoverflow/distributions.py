@@ -2,10 +2,10 @@
 
 Three kinds are supported: uniform over a finite set of urns, geometric on
 {0, 1, 2, ...}, and an explicit weight vector.  All expose the largest
-single-urn probability (``p_star``), the power moments sum(p_m^(r+1)) that
-drive the limit regimes, and vectorized per-ball sampling.  Only the finite
-laws list their urn masses (``support_size``, ``support_probs``,
-``distinct_probs``).
+single-urn probability (``p_star()``), the power moments sum(p_m^(r+1))
+(``power_moment(r)``) that drive the limit regimes, and per-ball sampling.
+Only the finite laws list their urn masses (``support_size``,
+``support_probs``, ``distinct_probs``).
 
 Urn indices are 0-based everywhere.  Every sampler returns a fresh array that
 the caller owns (the trial loop sorts it in place), as int32 whenever the
@@ -24,8 +24,6 @@ __all__ = [
     "Geometric",
     "Custom",
     "BoxDistribution",
-    "p_star",
-    "power_moment",
     "parse_dist_spec",
 ]
 
@@ -192,16 +190,6 @@ BoxDistribution = Uniform | Geometric | Custom
 def _check_moment_order(r):
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"moment order r must be a positive integer, got {r!r}")
-
-
-def p_star(dist: BoxDistribution) -> float:
-    """Largest single-urn probability, sup_m p_m."""
-    return dist.p_star()
-
-
-def power_moment(dist: BoxDistribution, r: int) -> float:
-    """sum_m p_m^(r+1), the r-th power moment of the selected urn's mass."""
-    return dist.power_moment(r)
 
 
 def parse_dist_spec(spec: str) -> BoxDistribution:

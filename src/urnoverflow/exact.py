@@ -4,8 +4,8 @@ of the retention identity), the exact law of the overflow on small instances
 by enumerating count vectors, and exhaustive verification of the
 negative-dependence inequality.
 
-Enumeration budgets are explicit; exceeding one raises BudgetExceededError
-rather than silently approximating.
+Work is capped by the fixed module budgets MEAN_BUDGET and ORACLE_BUDGET;
+exceeding one raises BudgetExceededError rather than silently approximating.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ __all__ = [
     "nod_check",
 ]
 
-DEFAULT_MEAN_BUDGET = 10**9       # tail evaluations allowed in the mean formulas
-DEFAULT_ORACLE_BUDGET = 10**7     # count compositions / ball sequences to enumerate
+MEAN_BUDGET = 10**9               # tail evaluations allowed in the mean formulas
+ORACLE_BUDGET = 10**7             # count compositions / ball sequences to enumerate
 GEOMETRIC_CUTOFF = 1e-14          # relative contribution below which geometric urns stop
 GRID_CELLS = 1 << 20              # cells per block of an exact route's arrays
 
 
 class BudgetExceededError(RuntimeError):
-    """An exact computation would exceed its configured work budget."""
+    """An exact computation would exceed MEAN_BUDGET or ORACLE_BUDGET."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +71,10 @@ def tail_bound(k: int, p: float, r: int) -> float:
 # exact mean of the overflow, two independent formulas
 # ---------------------------------------------------------------------------
 
-def _urns(dist: BoxDistribution, n: int, r: int, budget: int):
-    """(count, block) of the urns in the mean (none when n <= r), budget
+def _urns(dist: BoxDistribution, n: int, r: int):
+    """(count, block) of the urns in the mean (none when n <= r), MEAN_BUDGET
     checked first; block(lo, hi) makes the (p, multiplicity) arrays of urns
-    lo..hi-1.  The budget charges n per urn (urns+1 of them when geometric),
+    lo..hi-1.  MEAN_BUDGET charges n per urn (urns+1 of them when geometric),
     the price of a per-ball sum, though neither route does that work: both
     rules stay as policy, so fig2's 5.1e6 geometric urns are refused in
     milliseconds, and the benchmark's two refused uniform instances, whose
@@ -87,9 +87,9 @@ def _urns(dist: BoxDistribution, n: int, r: int, budget: int):
     if n <= r:
         return 0, None
     if dist.finite_support:
-        if n * dist.support_size > budget:
+        if n * dist.support_size > MEAN_BUDGET:
             raise BudgetExceededError(
-                f"n*support = {n * dist.support_size} exceeds mean budget {budget}; "
+                f"n*support = {n * dist.support_size} exceeds mean budget {MEAN_BUDGET}; "
                 "use Monte Carlo")
         p, mult = map(np.array, zip(*dist.distinct_probs()))
         return p.size, lambda lo, hi: (p[lo:hi], mult[lo:hi])
@@ -97,14 +97,13 @@ def _urns(dist: BoxDistribution, n: int, r: int, budget: int):
     log_rho = r * math.log1p(-p)
     log_tau = math.log(GEOMETRIC_CUTOFF) - math.log(GEOMETRIC_CUTOFF - math.expm1(log_rho))
     urns = math.floor(log_tau / log_rho) + 1
-    if not (urns + 1) * n <= budget:
+    if not (urns + 1) * n <= MEAN_BUDGET:
         raise BudgetExceededError(
-            f"geometric truncation exceeded mean budget {budget}")
+            f"geometric truncation exceeded mean budget {MEAN_BUDGET}")
     return urns, lambda lo, hi: (p * (1.0 - p) ** np.arange(lo, hi), np.ones(hi - lo))
 
 
-def exact_mean_overflow(dist: BoxDistribution, n: int, r: int,
-                        budget: int = DEFAULT_MEAN_BUDGET) -> float:
+def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
     """E V_{n,r} = sum_m p_m * sum_{k=1}^n P(Bin(k-1, p_m) >= r).
 
     Summed over the arrivals, an urn's term is E(N - r)^+ with N = Bin(n, p).
@@ -113,7 +112,7 @@ def exact_mean_overflow(dist: BoxDistribution, n: int, r: int,
     with P(Bin(m, p) >= a) = I_p(a, m-a+1), the regularized incomplete beta,
     over blocks of at most GRID_CELLS urns.
     """
-    urns, block = _urns(dist, n, r, budget)
+    urns, block = _urns(dist, n, r)
     total = 0.0
     for u in range(0, urns, GRID_CELLS):
         p, mult = block(u, min(u + GRID_CELLS, urns))
@@ -121,15 +120,14 @@ def exact_mean_overflow(dist: BoxDistribution, n: int, r: int,
     return total
 
 
-def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int,
-                          budget: int = DEFAULT_MEAN_BUDGET) -> float:
+def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:
     """E V_{n,r} = sum_m mult E(Bin(n, p_m) - r)^+, the per-urn retention view.
 
     With N = Bin(n, p), an urn gives n p - sum_{i<r} i P(N=i) - r P(N >= r)
     from (urns x r) pmf rows, P(N=0) = q^n times the cumulative product of
     P(N=i+1)/P(N=i) = (n-i)/(i+1) p/q; 1 - q^n by expm1 keeps small tails
     precise."""
-    urns, block = _urns(dist, n, r, budget)
+    urns, block = _urns(dist, n, r)
     i = np.arange(r)
     rows = max(1, GRID_CELLS // r)
     total = 0.0
@@ -162,8 +160,7 @@ class ExactDistribution:
     variance: float
 
 
-def exact_distribution(dist: BoxDistribution, n: int, r: int,
-                       budget: int = DEFAULT_ORACLE_BUDGET) -> ExactDistribution:
+def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistribution:
     """Enumerate all count vectors with multinomial weights; exact pmf of V.
 
     Count vectors come by stars and bars (s-1 bars among n+s-1 slots) as int
@@ -174,9 +171,9 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int,
         raise ValueError("n and r must be >= 1")
     s = dist.support_size
     n_comps = math.comb(n + s - 1, s - 1)
-    if n_comps > budget:
+    if n_comps > ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"{n_comps} count compositions exceed oracle budget {budget}: "
+            f"{n_comps} count compositions exceed oracle budget {ORACLE_BUDGET}: "
             "instance too large for oracle")
     logp = np.log(dist.support_probs())
     lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
@@ -206,8 +203,7 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int,
 # ---------------------------------------------------------------------------
 
 def nod_joint_table(dist: BoxDistribution, n: int, k: int, l: int,
-                    m1: int, m2: int,
-                    budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
+                    m1: int, m2: int) -> np.ndarray:
     """table[x1, x2] = P(N_k(m1) >= x1, N_l(m2) >= x2), by enumerating every
     ball sequence of length l-1 (N_k counts the first k-1 balls)."""
     if m1 == m2:
@@ -220,9 +216,9 @@ def nod_joint_table(dist: BoxDistribution, n: int, k: int, l: int,
     if not (0 <= m1 < s and 0 <= m2 < s):
         raise ValueError("urn index outside the support")
     length = l - 1
-    if s ** max(length, 0) > budget:
+    if s ** max(length, 0) > ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"{s ** length} sequences exceed oracle budget {budget}")
+            f"{s ** length} sequences exceed oracle budget {ORACLE_BUDGET}")
     probs = dist.support_probs()
     # joint weight mass at (count of m1 in first k-1, count of m2 in first l-1)
     mass = np.zeros((length + 2, length + 2))
@@ -239,12 +235,11 @@ def nod_joint_table(dist: BoxDistribution, n: int, k: int, l: int,
 
 
 def nod_check(dist: BoxDistribution, n: int, k: int, l: int,
-              m1: int, m2: int, x1: int, x2: int,
-              budget: int = DEFAULT_ORACLE_BUDGET):
+              m1: int, m2: int, x1: int, x2: int):
     """(joint, product, holds) for P(N_k(m1)>=x1, N_l(m2)>=x2) <= product of
     marginals; the joint comes from exhaustive enumeration, the marginals from
     the exact binomial tails."""
-    table = nod_joint_table(dist, n, k, l, m1, m2, budget=budget)
+    table = nod_joint_table(dist, n, k, l, m1, m2)
     x1 = min(max(x1, 0), table.shape[0] - 1)
     x2 = min(max(x2, 0), table.shape[1] - 1)
     joint = float(table[x1, x2])

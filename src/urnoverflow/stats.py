@@ -8,7 +8,6 @@ uses the one-sample Kolmogorov-Smirnov statistic.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +47,6 @@ class EmpiricalSummary:
         ss = sum(v * (k - mean) ** 2 for k, v in hist.items())
         variance = ss / (reps - 1) if reps > 1 else 0.0
         return cls(histogram=hist, reps=reps, mean=mean, variance=variance)
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalSummary":
-        return cls.from_histogram(Counter(int(v) for v in values))
 
 
 def _poisson_support(mu: float) -> tuple[np.ndarray, float]:

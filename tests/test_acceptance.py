@@ -17,7 +17,7 @@ from scipy import stats as sps
 
 from urnoverflow.allocation import streaming_overflow
 from urnoverflow.asymptotics import regime_report
-from urnoverflow.distributions import Custom, Geometric, Uniform, power_moment
+from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (binomial_tail, exact_distribution,
                                exact_mean_overflow, exact_mean_via_counts,
                                nod_joint_table, tail_bound)
@@ -158,12 +158,12 @@ def test_criterion_05_variance_upper_bound(fig3_run):
     worst_slack = math.inf
     for dist, n, r in itertools.product(SMALL_GRID_DISTS, range(1, 7), range(1, 4)):
         d = exact_distribution(dist, n, r)
-        bound = n ** (r + 1) * power_moment(dist, r) / math.factorial(r)
+        bound = n ** (r + 1) * dist.power_moment(r) / math.factorial(r)
         worst_slack = min(worst_slack, bound - d.variance)
     ok_small = worst_slack >= -1e-12
     # figure-3 scale: empirical variance below the bound by >= 3 SE
     n, r, m = 10_000, 2, 25_118
-    bound = n ** (r + 1) * power_moment(Uniform(m), r) / math.factorial(r)
+    bound = n ** (r + 1) * Uniform(m).power_moment(r) / math.factorial(r)
     var = fig3.variance
     se_var = var * math.sqrt(2.0 / (fig3.reps - 1))
     ok_big = var <= bound - 3.0 * se_var
@@ -264,7 +264,7 @@ def test_criterion_11_asymptotic_variance_bracket(fig3_run):
     fig3, _ = fig3_run
     n, r, m = 10_000, 2, 25_118
     dist = Uniform(m)
-    scaled = n ** (r + 1) * power_moment(dist, r)
+    scaled = n ** (r + 1) * dist.power_moment(r)
     lam = n / m
     ratio = fig3.variance / scaled
     lo = 0.5 * math.exp(-2.0 * lam) / math.factorial(r + 1)

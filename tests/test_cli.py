@@ -56,6 +56,25 @@ def test_simulate_bad_dist_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_simulate_repeated_collect_is_usage_error(capsys):
+    # a repeated name would count every trial once per listing
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=5", "--balls", "5",
+                              "--capacity", "2", "--reps", "3", "--seed", "1",
+                              "--collect", "v,v"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "repeats" in err
+
+
+@pytest.mark.parametrize("balls", ["-5", "0"])
+def test_predict_without_balls_is_usage_error(balls, capsys):
+    code, out, err = run_cli(["predict", "--dist", "uniform:m=10", "--balls", balls,
+                              "--capacity", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "n must be >= 1" in err
+
+
 def test_simulate_gof_poisson_fit_block(capsys):
     code, out, _ = run_cli(["simulate", "--dist", "uniform:m=2000", "--balls", "100",
                             "--capacity", "1", "--reps", "2000", "--seed", "11",

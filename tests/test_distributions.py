@@ -5,25 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnoverflow.distributions import (Custom, Geometric, Uniform, p_star,
-                                       parse_dist_spec, power_moment)
+from urnoverflow.distributions import Custom, Geometric, Uniform, parse_dist_spec
 
 from oracles import support_masses
 
 
 def test_p_star_examples():
-    assert p_star(Uniform(4)) == 0.25
-    assert p_star(Geometric(0.3)) == 0.3
-    assert p_star(Custom([0.5, 0.3, 0.2])) == 0.5
+    assert Uniform(4).p_star() == 0.25
+    assert Geometric(0.3).p_star() == 0.3
+    assert Custom([0.5, 0.3, 0.2]).p_star() == 0.5
 
 
 def test_power_moment_examples():
-    assert power_moment(Uniform(10), 2) == pytest.approx(0.01, abs=1e-15)
+    assert Uniform(10).power_moment(2) == pytest.approx(0.01, abs=1e-15)
     # geometric series summed directly to 30 terms
     direct = sum((0.5 * 0.5**j) ** 2 for j in range(30))
-    assert power_moment(Geometric(0.5), 1) == pytest.approx(direct, abs=1e-9)
-    assert power_moment(Geometric(0.5), 1) == pytest.approx(1 / 3, abs=1e-12)
-    assert power_moment(Custom([0.5, 0.5]), 3) == pytest.approx(0.125, abs=1e-15)
+    assert Geometric(0.5).power_moment(1) == pytest.approx(direct, abs=1e-9)
+    assert Geometric(0.5).power_moment(1) == pytest.approx(1 / 3, abs=1e-12)
+    assert Custom([0.5, 0.5]).power_moment(3) == pytest.approx(0.125, abs=1e-15)
 
 
 @pytest.mark.parametrize("dist", [
@@ -33,7 +32,7 @@ def test_power_moment_examples():
 @pytest.mark.parametrize("r", range(1, 7))
 def test_closed_form_matches_direct_sum(dist, r):
     direct = float(np.sum(support_masses(dist) ** (r + 1)))
-    assert power_moment(dist, r) == pytest.approx(direct, abs=1e-12)
+    assert dist.power_moment(r) == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("dist", [
@@ -42,8 +41,8 @@ def test_closed_form_matches_direct_sum(dist, r):
 @pytest.mark.parametrize("r", range(1, 7))
 def test_moment_sandwich(dist, r):
     # p_m <= p* gives p*^(r+1) <= E p^r <= p*^r
-    ps = p_star(dist)
-    m = power_moment(dist, r)
+    ps = dist.p_star()
+    m = dist.power_moment(r)
     assert ps ** (r + 1) <= m + 1e-15
     assert m <= ps**r + 1e-15
 
@@ -187,7 +186,7 @@ def test_geometric_sampling_is_inverse_cdf():
 
 @given(st.integers(1, 1000))
 def test_uniform_pstar_is_reciprocal(m):
-    assert p_star(Uniform(m)) == pytest.approx(1.0 / m)
+    assert Uniform(m).p_star() == pytest.approx(1.0 / m)
 
 
 @settings(max_examples=50)

@@ -95,22 +95,23 @@ def test_two_mean_formulas_agree(dist, n, r):
     assert a == pytest.approx(b, abs=1e-10)
 
 
-def _mean_urns(dist, n, r, budget=exact.DEFAULT_MEAN_BUDGET):
+def _mean_urns(dist, n, r):
     """(p, multiplicity) pairs of the urns the mean routes sum over."""
-    urns, block = exact._urns(dist, n, r, budget)
+    urns, block = exact._urns(dist, n, r)
     return list(zip(*block(0, urns))) if urns else []
 
 
 @pytest.mark.parametrize("dist,n,r,budget", [
-    (Uniform(25_118), 10_000, 2, exact.DEFAULT_MEAN_BUDGET),        # fig3
+    (Uniform(25_118), 10_000, 2, exact.MEAN_BUDGET),                # fig3
     (Uniform(333_333), 10_000, 2, 10**10),                          # budget lifted
-    (Geometric(0.05), 200, 2, exact.DEFAULT_MEAN_BUDGET),
+    (Geometric(0.05), 200, 2, exact.MEAN_BUDGET),
 ])
-def test_mean_routes_match_rational_oracle(dist, n, r, budget):
+def test_mean_routes_match_rational_oracle(monkeypatch, dist, n, r, budget):
     # the oracle sums the same urns in exact integer arithmetic
-    want = exact_mean_rational(_mean_urns(dist, n, r, budget), n, r)
-    assert exact_mean_overflow(dist, n, r, budget) == pytest.approx(want, rel=1e-12)
-    assert exact_mean_via_counts(dist, n, r, budget) == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(exact, "MEAN_BUDGET", budget)
+    want = exact_mean_rational(_mean_urns(dist, n, r), n, r)
+    assert exact_mean_overflow(dist, n, r) == pytest.approx(want, rel=1e-12)
+    assert exact_mean_via_counts(dist, n, r) == pytest.approx(want, rel=1e-12)
 
 
 def test_fig4_mean_routes():
@@ -171,8 +172,9 @@ def test_counts_route_where_q_to_the_n_underflows():
 
 
 def test_mean_budget_raises():
+    # n*support = 1e11 exceeds MEAN_BUDGET = 1e9
     with pytest.raises(BudgetExceededError):
-        exact_mean_overflow(Uniform(10**7), 10**4, 2, budget=10**6)
+        exact_mean_overflow(Uniform(10**7), 10**4, 2)
 
 
 def test_exact_distribution_examples():
@@ -197,8 +199,9 @@ def test_exact_distribution_invariants():
 
 
 def test_exact_distribution_budget():
+    # C(149, 49) count compositions exceed ORACLE_BUDGET = 1e7
     with pytest.raises(BudgetExceededError):
-        exact_distribution(Uniform(50), 100, 2, budget=1000)
+        exact_distribution(Uniform(50), 100, 2)
 
 
 def test_sequence_enumeration_matches_count_oracle():
@@ -242,7 +245,7 @@ def test_nod_check_validation():
     with pytest.raises(ValueError):
         nod_check(Uniform(3), 4, 5, 3, 0, 1, 1, 1)  # k > l
     with pytest.raises(BudgetExceededError):
-        nod_check(Uniform(3), 20, 21, 21, 0, 1, 1, 1, budget=100)
+        nod_check(Uniform(3), 20, 21, 21, 0, 1, 1, 1)   # 3^20 sequences > ORACLE_BUDGET
 
 
 def test_nod_joint_against_independent_bruteforce():

@@ -89,15 +89,17 @@ def test_one_span_runs_without_a_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_identity_checks_catch_a_kernel_fault(monkeypatch, threads):
-    # only the count route can see a wrong M: the streaming comparison reads V
+@pytest.mark.parametrize("wrong", "VLM")
+def test_identity_checks_catch_a_kernel_fault(monkeypatch, wrong, threads):
+    # the count route is the only check: it must catch a wrong V, L or M alone
     true_sorted_stats = allocation._sorted_stats
 
-    def m_off_by_one(s, r):
-        v, full, exactly = true_sorted_stats(s, r)
-        return v, full, exactly + 1
+    def off_by_one(s, r):
+        stats = list(true_sorted_stats(s, r))
+        stats["VLM".index(wrong)] += 1
+        return tuple(stats)
 
-    monkeypatch.setattr(allocation, "_sorted_stats", m_off_by_one)
+    monkeypatch.setattr(allocation, "_sorted_stats", off_by_one)
     cfg = dict(dist=Uniform(40), n=60, r=2, reps=50, seed=3, threads=threads)
     with pytest.raises(AssertionError, match=r"count route=\("):
         run_experiment(ExperimentConfig(**cfg, identity_checks=True))
@@ -181,6 +183,8 @@ def test_config_validation():
         ExperimentConfig(dist=Uniform(2), n=0, r=1, reps=1, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=0, collect=("X",))
+    with pytest.raises(ValueError, match="repeats"):
+        ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=0, collect=("V", "V"))
     with pytest.raises(ValueError):
         ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=2**64)
 

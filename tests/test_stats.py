@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ def _poisson_histogram(mu, reps, kmax=60):
 
 
 def test_summary_moments_exact():
-    s = EmpiricalSummary.from_values([1, 1, 2, 4])
+    s = EmpiricalSummary.from_histogram(Counter([1, 1, 2, 4]))
     assert s.reps == 4
     assert s.mean == pytest.approx(2.0)
     assert s.variance == pytest.approx(2.0)  # unbiased
@@ -43,7 +44,7 @@ def test_tv_point_mass_example():
 
 def test_tv_small_for_true_poisson_samples():
     rng = np.random.default_rng(17)
-    s = EmpiricalSummary.from_values(rng.poisson(2.25, 10**5))
+    s = EmpiricalSummary.from_histogram(Counter(rng.poisson(2.25, 10**5).tolist()))
     assert tv_distance_poisson(s, 2.25) < 0.01
 
 
@@ -71,7 +72,7 @@ def test_chi_square_calibration():
     rng = np.random.default_rng(5)
     exceed = 0
     for _ in range(200):
-        s = EmpiricalSummary.from_values(rng.poisson(1.5, 10**4))
+        s = EmpiricalSummary.from_histogram(Counter(rng.poisson(1.5, 10**4).tolist()))
         statistic, dof = chi_square_poisson(s, 1.5)
         if statistic > sps.chi2.isf(0.001, min(dof, 15)):
             exceed += 1
@@ -80,7 +81,7 @@ def test_chi_square_calibration():
 
 def test_chi_square_requires_enough_reps():
     with pytest.raises(ValueError):
-        chi_square_poisson(EmpiricalSummary.from_values([1] * 10), 1.0)
+        chi_square_poisson(EmpiricalSummary.from_histogram(Counter([1] * 10)), 1.0)
 
 
 def test_ks_quantile_construction():
