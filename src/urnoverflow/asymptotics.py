@@ -61,14 +61,30 @@ def regime_report(dist: BoxDistribution, n: int, r: int) -> RegimeReport:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     nps = n * dist.p_star()
-    scaled = float(n) ** (r + 1) * dist.power_moment(r)
-    mu = scaled / math.factorial(r + 1)
+    pm = dist.power_moment(r)
+    try:
+        scaled = float(n) ** (r + 1) * pm
+        mu = scaled / math.factorial(r + 1)
+        var_upper = scaled / math.factorial(r)
+        var_lower = math.exp(-2.0 * nps) / math.factorial(r + 1) * scaled
+    except OverflowError:
+        # n^(r+1) or (r+1)! is beyond float range: the same quantities in logs
+        # (a power moment that underflowed to 0 stays 0)
+        log_scaled = (r + 1) * math.log(n) + (math.log(pm) if pm > 0.0 else -math.inf)
+        try:
+            scaled = math.exp(log_scaled)
+        except OverflowError:
+            raise ValueError(f"scaled moment n^(r+1)*E p^r = exp({log_scaled:.1f}) "
+                             "exceeds the float range") from None
+        mu = math.exp(log_scaled - math.lgamma(r + 2))
+        var_upper = math.exp(log_scaled - math.lgamma(r + 1))
+        var_lower = math.exp(log_scaled - 2.0 * nps - math.lgamma(r + 2))
     return RegimeReport(
         n_p_star=nps,
         scaled_moment=scaled,
         mu=mu,
-        var_upper=scaled / math.factorial(r),
-        var_lower_asymptotic=math.exp(-2.0 * nps) / math.factorial(r + 1) * scaled,
+        var_upper=var_upper,
+        var_lower_asymptotic=var_lower,
         classification=_classify(nps, scaled),
     )
 

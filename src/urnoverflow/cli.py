@@ -57,8 +57,8 @@ def _scaled_preset(name: str, scale: float) -> dict:
         # mu = n^(r+1) / ((r+1)! m^r)  =>  m = (n^(r+1) / ((r+1)! mu))^(1/r)
         p["m"] = max(1, round((n ** (r + 1) / (math.factorial(r + 1) * p["mu"])) ** (1.0 / r)))
     elif name == "fig2":
-        # imported here: scipy.optimize is over a quarter of the CLI's import
-        # time, and only this branch uses it
+        # imported here: only this branch needs scipy, whose import would
+        # double the CLI's start-up
         from scipy.optimize import brentq
         target = math.factorial(r + 1) * p["mu"]
         p["p"] = brentq(lambda q: geometric_scaled_moment(q, n, r) - target,

@@ -15,7 +15,7 @@ largest index the sampler can return fits, else int64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,6 +6,10 @@ negative-dependence inequality.
 
 Work is capped by the fixed module budgets MEAN_BUDGET and ORACLE_BUDGET;
 exceeding one raises BudgetExceededError rather than silently approximating.
+
+The incomplete beta comes from scipy.special.betainc, imported inside the two
+functions that call it: importing this module loads no scipy module, so
+`simulate` and `predict` start without scipy's import cost.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .distributions import BoxDistribution
 
@@ -55,6 +58,7 @@ def binomial_tail(k: int, p: float, r: int) -> float:
         return 1.0
     if r > k:
         return 0.0
+    from scipy.special import betainc
     return float(betainc(r, k - r + 1, p))
 
 
@@ -112,6 +116,7 @@ def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
     with P(Bin(m, p) >= a) = I_p(a, m-a+1), the regularized incomplete beta,
     over blocks of at most GRID_CELLS urns.
     """
+    from scipy.special import betainc
     urns, block = _urns(dist, n, r)
     total = 0.0
     for u in range(0, urns, GRID_CELLS):

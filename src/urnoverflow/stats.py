@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .asymptotics import poisson_pmf
 
@@ -114,11 +113,18 @@ def chi_square_poisson(summary: EmpiricalSummary, mu: float) -> tuple[float, int
     return float(((o - e) ** 2 / e).sum()), len(cells_exp) - 1
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = erfc(-x/sqrt(2))/2, within 2.2e-16 absolute of
+    scipy.special.ndtr over [-40, 40]; the standard library's erfc keeps
+    scipy out of every command but `exact`."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+
+
 def ks_normal(samples) -> float:
     """One-sample Kolmogorov-Smirnov statistic against N(0,1).
 
     The caller standardizes by the empirical mean and standard deviation.
-    The normal CDF is scipy's ndtr (erf-based, far better than 1e-7).
+    The normal CDF is _normal_cdf, by the standard library's erfc.
 
     The statistic assumes continuous samples.  On an integer-valued
     statistic the empirical CDF jumps by each atom's mass where any
@@ -129,7 +135,7 @@ def ks_normal(samples) -> float:
     n = x.size
     if n < 1:
         raise ValueError("need at least one sample")
-    cdf = ndtr(x)
+    cdf = _normal_cdf(x)
     i = np.arange(1, n + 1)
     d_plus = (i / n - cdf).max()
     d_minus = (cdf - (i - 1) / n).max()

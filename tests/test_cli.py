@@ -163,16 +163,59 @@ def test_exact_full_dist_refuses_before_any_mean_work(monkeypatch, capsys):
     assert "finite-support" in err
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from urnoverflow import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def _scipy_after(argv):
+    """(exit code, loaded scipy modules) of a fresh interpreter that imports
+    urnoverflow.cli and, given argv, runs it."""
     src = str(Path(urnoverflow.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, urnoverflow.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    code, _, mods = proc.stdout.strip().partition(" ")
+    return int(code), json.loads(mods)
+
+
+def test_cli_loads_scipy_only_for_exact():
+    small = ["--dist", "uniform:m=400", "--balls", "40", "--capacity", "1"]
+    for argv in ([], ["predict", *small],
+                 ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "normal"],
+                 ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "poisson"]):
+        assert _scipy_after(argv) == (0, []), argv
+    code, mods = _scipy_after(["exact", *small])
+    assert code == 0
+    assert "scipy.special" in mods
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+@pytest.mark.parametrize("dist,capacity,code", [
+    ("uniform:m=1", 400, 2),           # n^(r+1) and the scaled moment overflow
+    ("uniform:m=1000", 200, 0),        # (r+1)! overflows; the power moment underflows
+    ("geometric:p=0.5", 300, 0),       # (r+1)! overflows
+])
+def test_regime_report_beyond_float_range(command, dist, capacity, code, capsys):
+    argv = [command, "--dist", dist, "--balls", "10", "--capacity", str(capacity)]
+    if command == "simulate":
+        argv += ["--reps", "5", "--seed", "1"]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    if code:
+        assert out == ""
+        assert "scaled moment" in err and "float range" in err
+    else:
+        record = json.loads(out)
+        theory = record if command == "predict" else record["theory"]
+        assert all(math.isfinite(v) for k, v in theory.items() if k != "classification")
+        assert theory["mu"] == 0.0
 
 
 def test_predict_fig3_normal_candidate(capsys):

@@ -4,9 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import ndtr
 
 from urnoverflow.asymptotics import poisson_pmf
-from urnoverflow.stats import (EmpiricalSummary, chi_square_poisson, ks_normal,
+from urnoverflow.distributions import Uniform
+from urnoverflow.montecarlo import ExperimentConfig, run_experiment
+from urnoverflow.stats import (EmpiricalSummary, _normal_cdf, chi_square_poisson, ks_normal,
                                tv_distance_poisson)
 
 
@@ -105,3 +108,20 @@ def test_ks_invariant_under_duplication():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(400)
     assert ks_normal(x) == pytest.approx(ks_normal(np.concatenate([x, x])), abs=1e-12)
+
+
+def test_normal_cdf_matches_ndtr():
+    x = np.linspace(-40.0, 40.0, 200_001)
+    assert np.abs(_normal_cdf(x) - ndtr(x)).max() <= 2.3e-16
+
+
+def test_ks_normal_matches_ndtr_statistic_on_fig3():
+    cfg = ExperimentConfig(dist=Uniform(25_118), n=10_000, r=2, reps=1_000,
+                           seed=20260823, collect=("V",))
+    s = run_experiment(cfg)["V"]
+    v = np.repeat(np.fromiter(s.histogram.keys(), dtype=float),
+                  np.fromiter(s.histogram.values(), dtype=int))
+    x = np.sort((v - s.mean) / math.sqrt(s.variance))
+    cdf, i = ndtr(x), np.arange(1, x.size + 1)
+    reference = max((i / x.size - cdf).max(), (cdf - (i - 1) / x.size).max())
+    assert ks_normal(x) == pytest.approx(reference, abs=1e-15)
