@@ -8,7 +8,7 @@ count M, with diagnostics for the Poisson and normal limit regimes.
 __version__ = "0.1.0"
 
 from .allocation import overflow_stats, run_trial, streaming_overflow
-from .asymptotics import RegimeReport, geometric_scaled_moment, poisson_pmf, regime_report
+from .asymptotics import RegimeReport, poisson_pmf, regime_report
 from .distributions import (BoxDistribution, Custom, Geometric, Uniform,
                             parse_dist_spec)
 from .exact import (BudgetExceededError, ExactDistribution, binomial_tail,
@@ -22,7 +22,7 @@ __all__ = [
     "EmpiricalSummary", "ExactDistribution", "ExperimentConfig", "Geometric",
     "RegimeReport", "Uniform", "binomial_tail", "chi_square_poisson",
     "exact_distribution", "exact_mean_overflow",
-    "exact_mean_via_counts", "geometric_scaled_moment",
+    "exact_mean_via_counts",
     "ks_normal", "nod_check", "nod_joint_table", "overflow_stats",
     "parse_dist_spec", "poisson_pmf",
     "regime_report", "run_experiment", "run_trial",

@@ -10,9 +10,10 @@ draw, after checking that the draw is sorted, so it needs no second sort.
 Only equality of urn indices matters, so the kernel sorts the keys it is
 given; the samplers already draw them as int32 whenever every index fits.
 The kernel has two halves: the sort, and the count on sorted keys
-(``_sorted_stats``).  ``overflow_stats`` sorts a copy; ``count_draw`` is the
-trial pipeline shared by ``run_trial`` and the Monte Carlo loop, which own
-their fresh draws, so it sorts the keys in place before counting them.
+(``_sorted_stats``).  ``overflow_stats`` sorts a copy, and
+``streaming_overflow`` is its V; ``count_draw`` is the trial pipeline shared
+by ``run_trial`` and the Monte Carlo loop, which own their fresh draws, so it
+sorts the keys in place before counting them.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ def _sorted_stats(s: np.ndarray, r: int) -> tuple[int, int, int]:
 
 def streaming_overflow(balls: np.ndarray, r: int) -> int:
     """Number of balls whose urn already held >= r balls on arrival."""
-    if r < 1:
-        raise ValueError("capacity r must be >= 1")
-    return _shifted_matches(np.sort(balls), r)
+    return overflow_stats(balls, r)[0]
 
 
 def _check_by_counts(s: np.ndarray, r: int, stats: tuple[int, int, int]) -> None:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .distributions import BoxDistribution, Geometric
+from .distributions import BoxDistribution
 
 __all__ = [
     "RegimeReport",
     "regime_report",
     "poisson_pmf",
-    "geometric_scaled_moment",
     "N_P_STAR_POISSON_MAX",
     "SCALED_MOMENT_POISSON_MAX",
     "SCALED_MOMENT_NORMAL_MIN",
@@ -96,10 +95,3 @@ def poisson_pmf(mu: float, k: int) -> float:
     if k < 0:
         return 0.0
     return math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
-
-
-def geometric_scaled_moment(p: float, n: int, r: int) -> float:
-    """Closed form (n p)^(r+1) / (1 - (1-p)^(r+1)) for the geometric law."""
-    Geometric(p)  # validates p
-    denom = -math.expm1((r + 1) * math.log1p(-p))
-    return (n * p) ** (r + 1) / denom

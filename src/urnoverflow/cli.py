@@ -15,8 +15,8 @@ import sys
 import time
 
 from . import __version__
-from .asymptotics import geometric_scaled_moment, poisson_pmf, regime_report
-from .distributions import Geometric, Uniform, parse_dist_spec
+from .asymptotics import poisson_pmf, regime_report
+from .distributions import Geometric, parse_dist_spec
 from .exact import (BudgetExceededError, exact_distribution,
                     exact_mean_overflow, exact_mean_via_counts)
 from .montecarlo import ExperimentConfig, run_experiment
@@ -60,8 +60,7 @@ def _scaled_preset(name: str, scale: float) -> dict:
         # imported here: only this branch needs scipy, whose import would
         # double the CLI's start-up
         from scipy.optimize import brentq
-        target = math.factorial(r + 1) * p["mu"]
-        p["p"] = brentq(lambda q: geometric_scaled_moment(q, n, r) - target,
+        p["p"] = brentq(lambda q: regime_report(Geometric(q), n, r).mu - p["mu"],
                         1e-300, 1.0 - 1e-12)
     elif name == "fig3":
         p["m"] = max(1, round(n ** 1.1))
@@ -87,28 +86,23 @@ def _emit_json(record: dict) -> None:
 def cmd_simulate(args) -> int:
     given = {"--dist": args.dist, "--balls": args.balls,
              "--capacity": args.capacity, "--reps": args.reps}
+    preset_note = None
     if args.preset:
         for flag, val in given.items():
             if val is not None:
                 raise UsageError(f"{flag} cannot be combined with --preset")
         p = _scaled_preset(args.preset, 1.0 if args.scale is None else args.scale)
-        if p["kind"] == "uniform":
-            dist = Uniform(p["m"])
-            dist_spec = f"uniform:m={p['m']}"
-        else:
-            dist = Geometric(p["p"])
-            dist_spec = f"geometric:p={p['p']!r}"
-        n, r, reps = p["n"], p["r"], p["reps"]
+        given = {"--dist": (f"uniform:m={p['m']}" if p["kind"] == "uniform"
+                            else f"geometric:p={p['p']!r}"),
+                 "--balls": p["n"], "--capacity": p["r"], "--reps": p["reps"]}
         preset_note = p["note"]
-    else:
-        if args.scale is not None:
-            raise UsageError("--scale applies only to --preset")
-        for flag, val in given.items():
-            if val is None:
-                raise UsageError(f"{flag} is required without --preset")
-        dist = parse_dist_spec(args.dist)
-        dist_spec, n, r, reps = args.dist, args.balls, args.capacity, args.reps
-        preset_note = None
+    elif args.scale is not None:
+        raise UsageError("--scale applies only to --preset")
+    for flag, val in given.items():
+        if val is None:
+            raise UsageError(f"{flag} is required without --preset")
+    dist_spec, n, r, reps = given.values()
+    dist = parse_dist_spec(dist_spec)
 
     collect = tuple(c.upper() for c in args.collect.split(","))
     config = ExperimentConfig(dist=dist, n=n, r=r, reps=reps, seed=args.seed,

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 MEAN_BUDGET = 10**9               # tail evaluations allowed in the mean formulas
-ORACLE_BUDGET = 10**7             # count compositions / ball sequences to enumerate
+ORACLE_BUDGET = 10**7             # count-vector cells / ball sequences to enumerate
 GEOMETRIC_CUTOFF = 1e-14          # relative contribution below which geometric urns stop
 GRID_CELLS = 1 << 20              # cells per block of an exact route's arrays
 
@@ -75,28 +75,28 @@ def tail_bound(k: int, p: float, r: int) -> float:
 # exact mean of the overflow, two independent formulas
 # ---------------------------------------------------------------------------
 
-def _urns(dist: BoxDistribution, n: int, r: int):
-    """(count, block) of the urns in the mean (none when n <= r), MEAN_BUDGET
-    checked first; block(lo, hi) makes the (p, multiplicity) arrays of urns
-    lo..hi-1.  MEAN_BUDGET charges n per urn (urns+1 of them when geometric),
-    the price of a per-ball sum, though neither route does that work: both
-    rules stay as policy, so fig2's 5.1e6 geometric urns are refused in
-    milliseconds, and the benchmark's two refused uniform instances, whose
-    pins the exact integer oracle contradicts, stay refused.  Geometric urn
-    j's bound n*tail_bound(n, p_j, r) falls by rho = q^r per urn, so the first
-    urn below GEOMETRIC_CUTOFF times the bounds before it is the least j >= 1
-    with rho^j < CUT/(1 - rho + CUT)."""
+def _urns(dist: BoxDistribution, n: int, r: int, size: int):
+    """The (p, multiplicity) arrays of the urns in the mean (none when
+    n <= r), in blocks of at most size urns; MEAN_BUDGET is checked when
+    called, before any block is made.  MEAN_BUDGET charges n per urn (urns+1
+    of them when geometric), the price of a per-ball sum, though neither route
+    does that work: both rules stay as policy, so fig2's 5.1e6 geometric urns
+    are refused in milliseconds, and the benchmark's two refused uniform
+    instances, whose pins the exact integer oracle contradicts, stay refused.
+    Geometric urn j's bound n*tail_bound(n, p_j, r) falls by rho = q^r per
+    urn, so the first urn below GEOMETRIC_CUTOFF times the bounds before it is
+    the least j >= 1 with rho^j < CUT/(1 - rho + CUT)."""
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     if n <= r:
-        return 0, None
+        return ()
     if dist.finite_support:
         if n * dist.support_size > MEAN_BUDGET:
             raise BudgetExceededError(
                 f"n*support = {n * dist.support_size} exceeds mean budget {MEAN_BUDGET}; "
                 "use Monte Carlo")
         p, mult = map(np.array, zip(*dist.distinct_probs()))
-        return p.size, lambda lo, hi: (p[lo:hi], mult[lo:hi])
+        return ((p[lo:lo + size], mult[lo:lo + size]) for lo in range(0, p.size, size))
     p = dist.success_prob
     log_rho = r * math.log1p(-p)
     log_tau = math.log(GEOMETRIC_CUTOFF) - math.log(GEOMETRIC_CUTOFF - math.expm1(log_rho))
@@ -104,7 +104,8 @@ def _urns(dist: BoxDistribution, n: int, r: int):
     if not (urns + 1) * n <= MEAN_BUDGET:
         raise BudgetExceededError(
             f"geometric truncation exceeded mean budget {MEAN_BUDGET}")
-    return urns, lambda lo, hi: (p * (1.0 - p) ** np.arange(lo, hi), np.ones(hi - lo))
+    blocks = (np.arange(lo, min(lo + size, urns)) for lo in range(0, urns, size))
+    return ((p * (1.0 - p) ** j, np.ones(j.size)) for j in blocks)
 
 
 def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
@@ -117,10 +118,8 @@ def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
     over blocks of at most GRID_CELLS urns.
     """
     from scipy.special import betainc
-    urns, block = _urns(dist, n, r)
     total = 0.0
-    for u in range(0, urns, GRID_CELLS):
-        p, mult = block(u, min(u + GRID_CELLS, urns))
+    for p, mult in _urns(dist, n, r, GRID_CELLS):
         total += float((n * p * betainc(r, n - r, p) - r * betainc(r + 1, n - r, p)) @ mult)
     return total
 
@@ -132,12 +131,9 @@ def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:
     from (urns x r) pmf rows, P(N=0) = q^n times the cumulative product of
     P(N=i+1)/P(N=i) = (n-i)/(i+1) p/q; 1 - q^n by expm1 keeps small tails
     precise."""
-    urns, block = _urns(dist, n, r)
     i = np.arange(r)
-    rows = max(1, GRID_CELLS // r)
     total = 0.0
-    for u in range(0, urns, rows):
-        p, mult = block(u, min(u + rows, urns))
+    for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // r)):
         total += float(mult[p == 1.0].sum()) * (n - r)   # a lone urn keeps r balls
         p, mult = p[p < 1.0], mult[p < 1.0]
         log_q0 = n * np.log1p(-p)
@@ -169,17 +165,19 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
     """Enumerate all count vectors with multinomial weights; exact pmf of V.
 
     Count vectors come by stars and bars (s-1 bars among n+s-1 slots) as int
-    arrays of at most GRID_CELLS cells."""
+    arrays of at most GRID_CELLS cells; ORACLE_BUDGET caps their s cells
+    each, summed over all of them.  A pmf whose mass misses 1 by more than
+    1e-10 raises ValueError."""
     if not dist.finite_support:
         raise ValueError("exact_distribution requires a finite-support distribution")
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     s = dist.support_size
     n_comps = math.comb(n + s - 1, s - 1)
-    if n_comps > ORACLE_BUDGET:
+    if n_comps * s > ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"{n_comps} count compositions exceed oracle budget {ORACLE_BUDGET}: "
-            "instance too large for oracle")
+            f"{n_comps} count compositions of {s} cells ({n_comps * s} cells) exceed "
+            f"oracle budget {ORACLE_BUDGET}: instance too large for oracle")
     logp = np.log(dist.support_probs())
     lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
     mass = np.zeros(n + 1)
@@ -196,8 +194,9 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
     lo, hi = n - min(n, s * r), n - min(n, r)   # n - V = sum min(c, r) takes each value between
     pmf = {v: float(mass[v]) for v in range(lo, hi + 1)}
     total = sum(pmf.values())
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError(f"pmf mass {total} is not 1")
+    if abs(total - 1.0) > 1e-10:   # the log-weights lose digits near lgamma(n+1)
+        raise ValueError(f"pmf mass {total} is not 1 within 1e-10 at n={n}: "
+                         "too many balls for the exact law")
     mean = sum(v * w for v, w in pmf.items())
     var = sum((v - mean) ** 2 * w for v, w in pmf.items())
     return ExactDistribution(pmf=pmf, n=n, r=r, mean=mean, variance=var)

@@ -48,20 +48,27 @@ class EmpiricalSummary:
         return cls(histogram=hist, reps=reps, mean=mean, variance=variance)
 
 
-def _poisson_support(mu: float) -> tuple[np.ndarray, float]:
-    """Poisson pmf truncated where the remaining tail mass < POISSON_TAIL_TOL;
-    returns (pmf over 0..K, tail mass beyond K)."""
-    pmf = []
-    cum = 0.0
-    k = 0
-    while cum < 1.0 - POISSON_TAIL_TOL:
-        term = poisson_pmf(mu, k)
-        pmf.append(term)
-        cum += term
-        k += 1
-        if k > 10_000_000:
-            raise RuntimeError("poisson truncation failed to converge")
-    return np.array(pmf), max(1.0 - cum, 0.0)
+def _poisson_table(summary: EmpiricalSummary, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(observed counts, Pois(mu) pmf, Poisson mass beyond them) on 0..K.
+
+    The pmf runs until its mass reaches 1 - POISSON_TAIL_TOL, or at most to
+    ceil(mu + 12 sqrt(mu) + 40), beyond which Bernstein's inequality leaves
+    less than 1e-26 of the mass: summed pmf terms of a large mu can stop short
+    of 1 - POISSON_TAIL_TOL by rounding alone.  K also reaches the largest
+    observed value; a negative one counts at 0.
+    """
+    bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
+    if bound >= 10_000_000:
+        raise ValueError(f"the Poisson table for mu = {mu!r} needs more than 10^7 terms")
+    pmf, cum = [], 0.0
+    while cum < 1.0 - POISSON_TAIL_TOL and len(pmf) <= bound:
+        pmf.append(poisson_pmf(mu, len(pmf)))
+        cum += pmf[-1]
+    top = max(max(summary.histogram), len(pmf) - 1)
+    observed = np.zeros(top + 1)
+    for k, v in summary.histogram.items():
+        observed[max(k, 0)] += v
+    return observed, np.pad(pmf, (0, top + 1 - len(pmf))), max(1.0 - cum, 0.0)
 
 
 def tv_distance_poisson(summary: EmpiricalSummary, mu: float) -> float:
@@ -69,15 +76,8 @@ def tv_distance_poisson(summary: EmpiricalSummary, mu: float) -> float:
     Poisson tail mass counts toward the discrepancy."""
     if summary.reps < 1:
         raise ValueError("need at least one replication")
-    pois, tail = _poisson_support(mu)
-    top = max(max(summary.histogram), pois.size - 1)
-    emp = np.zeros(top + 1)
-    for k, v in summary.histogram.items():
-        if k >= 0:
-            emp[k] = v / summary.reps
-    theory = np.zeros(top + 1)
-    theory[: pois.size] = pois
-    return 0.5 * (np.abs(emp - theory).sum() + tail)
+    observed, theory, tail = _poisson_table(summary, mu)
+    return 0.5 * (np.abs(observed / summary.reps - theory).sum() + tail)
 
 
 def chi_square_poisson(summary: EmpiricalSummary, mu: float) -> tuple[float, int]:
@@ -85,14 +85,9 @@ def chi_square_poisson(summary: EmpiricalSummary, mu: float) -> tuple[float, int
     pooled from the right until every expected count is >= 5."""
     if summary.reps < 50:
         raise ValueError("need at least 50 replications")
-    pois, tail = _poisson_support(mu)
-    top = max(max(summary.histogram), pois.size - 1)
-    expected = np.zeros(top + 2)
-    expected[: pois.size] = pois * summary.reps
-    expected[-1] = tail * summary.reps  # open right tail cell
-    observed = np.zeros(top + 2)
-    for k, v in summary.histogram.items():
-        observed[min(max(k, 0), top + 1)] += v
+    observed, theory, tail = _poisson_table(summary, mu)
+    expected = np.append(theory * summary.reps, tail * summary.reps)  # open right tail cell
+    observed = np.append(observed, 0.0)
     # pool from the right
     cells_exp, cells_obs = [], []
     acc_e = acc_o = 0.0

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from urnoverflow.asymptotics import (RegimeReport, geometric_scaled_moment,
-                                     poisson_pmf, regime_report)
+from urnoverflow.asymptotics import RegimeReport, poisson_pmf, regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform
 
 
@@ -69,21 +68,14 @@ def test_poisson_pmf_examples():
 
 
 def test_geometric_scaled_moment_examples():
-    assert geometric_scaled_moment(0.5, 2, 1) == pytest.approx(4 / 3, abs=1e-12)
+    def scaled(p, n, r):
+        return regime_report(Geometric(p), n, r).scaled_moment
+
+    assert scaled(0.5, 2, 1) == pytest.approx(4 / 3, abs=1e-12)
     # p = n^(-(r+1)/r): limit 1/(r+1)
-    val = geometric_scaled_moment(10**-9, 10**6, 2)
-    assert val == pytest.approx(1 / 3, rel=1e-3)
+    assert scaled(10**-9, 10**6, 2) == pytest.approx(1 / 3, rel=1e-3)
     # p -> 1 collapses to a single atom: n^(r+1)
-    assert geometric_scaled_moment(1 - 1e-12, 7, 2) == pytest.approx(7**3, rel=1e-9)
-
-
-def test_geometric_scaled_moment_matches_power_moment_grid():
-    for p in [1e-8, 1e-5, 1e-3, 0.1, 0.5, 0.9]:
-        for n in [10, 1000, 10**6]:
-            for r in range(1, 6):
-                closed = geometric_scaled_moment(p, n, r)
-                direct = float(n) ** (r + 1) * Geometric(p).power_moment(r)
-                assert closed == pytest.approx(direct, rel=1e-10)
+    assert scaled(1 - 1e-12, 7, 2) == pytest.approx(7**3, rel=1e-9)
 
 
 def test_uniform_scaled_moment_closed_form():

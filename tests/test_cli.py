@@ -137,6 +137,27 @@ def test_exact_fig2_refused_fast(capsys):
     assert "budget" in err
 
 
+def test_exact_full_dist_budget_counts_cells(capsys):
+    # one composition per urn, 1e5 cells each: 1e10 cells
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["exact", "--dist", "uniform:m=100000", "--balls", "1",
+                              "--capacity", "1", "--full-dist"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cells" in err and "budget" in err
+
+
+def test_exact_full_dist_mass_check_is_usage_error(capsys):
+    # the log-weights near lgamma(n+1) ~ 1e6 lose about 2e-10 each
+    code, out, err = run_cli(["exact", "--dist", "uniform:m=2", "--balls", "100000",
+                              "--capacity", "2", "--full-dist"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "pmf mass" in err and "n=100000" in err
+    assert "Traceback" not in err
+
+
 def test_exact_fig4_means_fast(capsys):
     # fig4 keeps 61,027 geometric urns above the cutoff; neither route sums over the balls
     t0 = time.perf_counter()
@@ -256,6 +277,22 @@ def test_preset_scaling_keeps_mu(capsys):
     assert record["theory"]["mu"] == pytest.approx(2.25, rel=1e-6)
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_preset_runs_as_its_flags(name, capsys):
+    # a preset only fills in --dist, --balls, --capacity and --reps
+    tail = ["--seed", "5", "--gof", "normal", "--no-timing"]
+    _, out, _ = run_cli(["simulate", "--preset", name, "--scale", "0.01", *tail], capsys)
+    by_preset = json.loads(out)
+    c = by_preset.pop("config")
+    code, out, _ = run_cli(["simulate", "--dist", c["dist"], "--balls", str(c["balls"]),
+                            "--capacity", str(c["capacity"]), "--reps", str(c["reps"]),
+                            *tail], capsys)
+    assert code == 0
+    by_flags = json.loads(out)
+    assert by_flags.pop("config") == {**c, "preset": None, "preset_note": None}
+    assert by_flags == by_preset
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--dist", "uniform:m=10"), ("--balls", "7"), ("--capacity", "3"), ("--reps", "3"),
 ])
@@ -290,6 +327,33 @@ def test_no_timing_output_is_reproducible(capsys):
         assert out1 == out4
     finally:
         os.unlink(path)
+
+
+def test_simulate_gof_poisson_at_a_large_mu(capsys):
+    # mu = 5,611: the summed pmf never reaches 1 - 1e-12, so its table stops at
+    # the bound
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["simulate", "--dist", "geometric:p=0.01", "--balls", "1000",
+                            "--capacity", "2", "--reps", "50", "--seed", "7",
+                            "--gof", "poisson"], capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    fit = json.loads(out)["fit"]
+    assert fit["law"]["mu"] == pytest.approx(5611.48, rel=1e-6)
+    assert fit["chi_square"]["statistic"] > 0.0
+    assert 0.0 <= fit["tv_poisson"] <= 1.0 + 1e-12
+
+
+def test_simulate_gof_poisson_refuses_a_table_beyond_1e7_terms(capsys):
+    # mu = n^2 / 2! = 5e9
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=1", "--balls", "100000",
+                              "--capacity", "1", "--reps", "1", "--seed", "1",
+                              "--gof", "poisson"], capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert out == ""
+    assert "mu = 5000000000.0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("stat", ["l", "m"])

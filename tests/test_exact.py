@@ -97,8 +97,25 @@ def test_two_mean_formulas_agree(dist, n, r):
 
 def _mean_urns(dist, n, r):
     """(p, multiplicity) pairs of the urns the mean routes sum over."""
-    urns, block = exact._urns(dist, n, r)
-    return list(zip(*block(0, urns))) if urns else []
+    return [pair for block in exact._urns(dist, n, r, exact.GRID_CELLS)
+            for pair in zip(*block)]
+
+
+@pytest.mark.parametrize("dist,n,r", [
+    (Custom(list(range(1, 30))), 10, 2), (Geometric(0.01), 50, 3), (Uniform(4), 3, 3),
+])
+def test_urn_blocks_hold_at_most_size_urns_in_order(dist, n, r):
+    blocks = list(exact._urns(dist, n, r, 7))
+    assert all(0 < p.size <= 7 and p.size == mult.size for p, mult in blocks)
+    assert [pair for block in blocks for pair in zip(*block)] == _mean_urns(dist, n, r)
+
+
+def test_urn_budget_raises_before_any_block():
+    # fig2's geometric instance: the call itself refuses, no block is drawn
+    with pytest.raises(BudgetExceededError):
+        exact._urns(Geometric(6.0 * 100_000 ** (-4.0 / 3.0)), 100_000, 3, 1)
+    with pytest.raises(BudgetExceededError):
+        exact._urns(Uniform(10**7), 10**4, 2, 1)
 
 
 @pytest.mark.parametrize("dist,n,r,budget", [
@@ -202,6 +219,24 @@ def test_exact_distribution_budget():
     # C(149, 49) count compositions exceed ORACLE_BUDGET = 1e7
     with pytest.raises(BudgetExceededError):
         exact_distribution(Uniform(50), 100, 2)
+
+
+@pytest.mark.parametrize("m,n", [(100_000, 1), (5, 100), (3, 3000)])
+def test_exact_distribution_budget_counts_cells(m, n):
+    # few compositions, each of m cells: C(n+m-1, m-1) * m exceeds ORACLE_BUDGET
+    assert math.comb(n + m - 1, m - 1) <= exact.ORACLE_BUDGET
+    with pytest.raises(BudgetExceededError, match="cells"):
+        exact_distribution(Uniform(m), n, 1)
+
+
+def test_exact_distribution_admits_the_budget_in_cells(monkeypatch):
+    # Uniform(6), n = 12: C(17, 5) = 6,188 compositions of 6 cells
+    monkeypatch.setattr(exact, "ORACLE_BUDGET", 6_188 * 6)
+    assert exact_distribution(Uniform(6), 12, 2).mean == pytest.approx(2.9609356863138396,
+                                                                        rel=1e-12)
+    monkeypatch.setattr(exact, "ORACLE_BUDGET", 6_188 * 6 - 1)
+    with pytest.raises(BudgetExceededError):
+        exact_distribution(Uniform(6), 12, 2)
 
 
 def test_sequence_enumeration_matches_count_oracle():

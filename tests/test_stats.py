@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy.special import ndtr
 from urnoverflow.asymptotics import poisson_pmf
 from urnoverflow.distributions import Uniform
 from urnoverflow.montecarlo import ExperimentConfig, run_experiment
-from urnoverflow.stats import (EmpiricalSummary, _normal_cdf, chi_square_poisson, ks_normal,
-                               tv_distance_poisson)
+from urnoverflow.stats import (EmpiricalSummary, _normal_cdf, _poisson_table,
+                               chi_square_poisson, ks_normal, tv_distance_poisson)
 
 
 def _poisson_histogram(mu, reps, kmax=60):
@@ -55,6 +56,36 @@ def test_tv_truncation_feeds_tail_into_discrepancy():
     # empirical mass far beyond the truncated Poisson support
     s = EmpiricalSummary.from_histogram({1000: 1})
     assert tv_distance_poisson(s, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_poisson_fit_pinned_at_fig2_mu():
+    # floats of the two fits before they shared one Poisson table
+    s = EmpiricalSummary.from_histogram({0: 60, 1: 120, 2: 140, 3: 100, 4: 50, 5: 20,
+                                         6: 7, 7: 2, 9: 1})
+    assert tv_distance_poisson(s, 2.25) == 0.03223147633797062
+    assert chi_square_poisson(s, 2.25) == (4.166048403815211, 6)
+    assert tv_distance_poisson(EmpiricalSummary.from_histogram({2: 1}), 2.25) == 0.7332082128277808
+
+
+@pytest.mark.parametrize("mu", [2012.0481442879966, 3000.0, 5611.483339505966])
+def test_poisson_table_stops_at_its_bound(mu):
+    # rounding keeps these pmf sums short of 1 - POISSON_TAIL_TOL
+    s = EmpiricalSummary.from_histogram({round(mu): 60})
+    observed, theory, tail = _poisson_table(s, mu)
+    assert observed.size == theory.size <= math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0) + 1
+    assert 0.0 <= tail < 1e-10
+    assert 0.0 <= tv_distance_poisson(s, mu) <= 1.0 + 1e-12
+    statistic, dof = chi_square_poisson(s, mu)
+    assert statistic > 0.0 and dof >= 1
+
+
+def test_poisson_table_refuses_more_than_1e7_terms():
+    s = EmpiricalSummary.from_histogram({0: 60})
+    t0 = time.perf_counter()
+    for fit in (tv_distance_poisson, chi_square_poisson):
+        with pytest.raises(ValueError, match="mu = 5000000000.0"):
+            fit(s, 5e9)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_chi_square_near_zero_for_proportional_histogram():
