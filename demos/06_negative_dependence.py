@@ -1,8 +1,8 @@
-"""Negative orthant dependence of urn counts, verified by brute force.
+"""Negative orthant dependence of urn counts, checked exactly.
 
 For two distinct urns, the joint probability that both counts exceed their
 thresholds never exceeds the product of the marginal tail probabilities.
-The joint law comes from enumerating every ordered ball sequence; the
+The joint law of the two counts is carried forward one ball at a time; the
 marginals are exact binomial tails.
 """
 

@@ -13,7 +13,7 @@ from .distributions import (BoxDistribution, Custom, Geometric, Uniform,
                             parse_dist_spec)
 from .exact import (BudgetExceededError, ExactDistribution, binomial_tail,
                     exact_distribution, exact_mean_overflow,
-                    exact_mean_via_counts, nod_check, nod_joint_table, tail_bound)
+                    exact_mean_via_counts, nod_check, nod_joint_table)
 from .montecarlo import ExperimentConfig, run_experiment
 from .stats import EmpiricalSummary, chi_square_poisson, ks_normal, tv_distance_poisson
 
@@ -26,5 +26,5 @@ __all__ = [
     "ks_normal", "nod_check", "nod_joint_table", "overflow_stats",
     "parse_dist_spec", "poisson_pmf",
     "regime_report", "run_experiment", "run_trial",
-    "streaming_overflow", "tail_bound", "tv_distance_poisson",
+    "streaming_overflow", "tv_distance_poisson",
 ]

@@ -1,8 +1,8 @@
 """Exact computations: binomial tails, the overflow mean by two independent
 routes (a closed form in two incomplete-beta tails per urn, and the pmf rows
 of the retention identity), the exact law of the overflow on small instances
-by enumerating count vectors, and exhaustive verification of the
-negative-dependence inequality.
+by enumerating count vectors, and the exact joint tails of two urn counts
+that check the negative-dependence inequality, by a ball-by-ball recurrence.
 
 Work is capped by the fixed module budgets MEAN_BUDGET and ORACLE_BUDGET;
 exceeding one raises BudgetExceededError rather than silently approximating.
@@ -25,7 +25,6 @@ from .distributions import BoxDistribution
 __all__ = [
     "BudgetExceededError",
     "binomial_tail",
-    "tail_bound",
     "exact_mean_overflow",
     "exact_mean_via_counts",
     "ExactDistribution",
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 MEAN_BUDGET = 10**9               # tail evaluations allowed in the mean formulas
-ORACLE_BUDGET = 10**7             # count-vector cells / ball sequences to enumerate
+ORACLE_BUDGET = 10**7             # count-vector cells / nod recurrence cells to fill
 GEOMETRIC_CUTOFF = 1e-14          # relative contribution below which geometric urns stop
 GRID_CELLS = 1 << 20              # cells per block of an exact route's arrays
 
@@ -62,15 +61,6 @@ def binomial_tail(k: int, p: float, r: int) -> float:
     return float(betainc(r, k - r + 1, p))
 
 
-def tail_bound(k: int, p: float, r: int) -> float:
-    """The binomial tail bound (k*p)^r / r!."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if k == 0 or p == 0.0:
-        return 0.0
-    return math.exp(r * math.log(k * p) - math.lgamma(r + 1))
-
-
 # ---------------------------------------------------------------------------
 # exact mean of the overflow, two independent formulas
 # ---------------------------------------------------------------------------
@@ -83,7 +73,7 @@ def _urns(dist: BoxDistribution, n: int, r: int, size: int):
     does that work: both rules stay as policy, so fig2's 5.1e6 geometric urns
     are refused in milliseconds, and the benchmark's two refused uniform
     instances, whose pins the exact integer oracle contradicts, stay refused.
-    Geometric urn j's bound n*tail_bound(n, p_j, r) falls by rho = q^r per
+    Geometric urn j's bound n (n p_j)^r / r! falls by rho = q^r per
     urn, so the first urn below GEOMETRIC_CUTOFF times the bounds before it is
     the least j >= 1 with rho^j < CUT/(1 - rho + CUT)."""
     if n < 1 or r < 1:
@@ -173,11 +163,16 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     s = dist.support_size
-    n_comps = math.comb(n + s - 1, s - 1)
-    if n_comps * s > ORACLE_BUDGET:
-        raise BudgetExceededError(
-            f"{n_comps} count compositions of {s} cells ({n_comps * s} cells) exceed "
-            f"oracle budget {ORACLE_BUDGET}: instance too large for oracle")
+    # C(n+s-1, m), m = min(n, s-1), as C(n+s-1-m+i, i) for i = 1..m: each step at
+    # least doubles it, so a refusal comes within ~24 steps, before a huge integer
+    m = min(n, s - 1)
+    n_comps = 1
+    for i in range(1, m + 1):
+        n_comps = n_comps * (n + s - 1 - m + i) // i
+        if n_comps * s > ORACLE_BUDGET:
+            raise BudgetExceededError(
+                f"the count vectors of {n} balls in {s} urns take more than "
+                f"{ORACLE_BUDGET} cells: oracle budget exceeded, instance too large for oracle")
     logp = np.log(dist.support_probs())
     lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
     mass = np.zeros(n + 1)
@@ -203,46 +198,49 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
 
 
 # ---------------------------------------------------------------------------
-# negative orthant dependence, verified by exhaustive enumeration
+# negative orthant dependence, by a ball-by-ball recurrence
 # ---------------------------------------------------------------------------
 
 def nod_joint_table(dist: BoxDistribution, n: int, k: int, l: int,
                     m1: int, m2: int) -> np.ndarray:
-    """table[x1, x2] = P(N_k(m1) >= x1, N_l(m2) >= x2), by enumerating every
-    ball sequence of length l-1 (N_k counts the first k-1 balls)."""
+    """table[x1, x2] = P(N_k(m1) >= x1, N_l(m2) >= x2), where N_k(m1) counts
+    m1 among the first k-1 balls and N_l(m2) counts m2 among the first l-1.
+
+    The joint law of the two counts is carried forward one ball at a time in
+    an (l+1) x (l+1) array: each of the first k-1 balls moves mass by (+1, 0)
+    with p1, by (0, +1) with p2 and leaves it with 1 - p1 - p2; each later
+    ball moves it by (0, +1) with p2.  ORACLE_BUDGET caps the (l-1)(l+1)^2
+    cells updated."""
     if m1 == m2:
         raise ValueError("m1 and m2 must be distinct urns")
     if not (1 <= k <= l <= n + 1):
         raise ValueError("need 1 <= k <= l <= n+1")
     if not dist.finite_support:
-        raise ValueError("nod enumeration requires a finite support")
+        raise ValueError("the negative-dependence table requires a finite support")
     s = dist.support_size
     if not (0 <= m1 < s and 0 <= m2 < s):
         raise ValueError("urn index outside the support")
-    length = l - 1
-    if s ** max(length, 0) > ORACLE_BUDGET:
+    if (l - 1) * (l + 1) ** 2 > ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"{s ** length} sequences exceed oracle budget {ORACLE_BUDGET}")
-    probs = dist.support_probs()
-    # joint weight mass at (count of m1 in first k-1, count of m2 in first l-1)
-    mass = np.zeros((length + 2, length + 2))
-    for seq in itertools.product(range(s), repeat=length):   # one empty seq if length 0
-        c1 = sum(1 for b in seq[: k - 1] if b == m1)
-        c2 = sum(1 for b in seq if b == m2)
-        w = 1.0
-        for b in seq:
-            w *= probs[b]
-        mass[c1, c2] += w
+            f"{(l - 1) * (l + 1) ** 2} cells exceed oracle budget {ORACLE_BUDGET}")
+    p1, p2 = map(float, dist.support_probs()[[m1, m2]])
+    mass = np.zeros((l + 1, l + 1))   # mass[c1, c2]: the joint law of the counts so far
+    mass[0, 0] = 1.0
+    for ball in range(l - 1):
+        up, keep = (p1, max(1.0 - p1 - p2, 0.0)) if ball < k - 1 else (0.0, 1.0 - p2)
+        moved = keep * mass
+        moved[1:, :] += up * mass[:-1, :]
+        moved[:, 1:] += p2 * mass[:, :-1]
+        mass = moved
     # survival table: P(C1 >= x1, C2 >= x2) via 2-d suffix sums
-    joint = np.flip(np.cumsum(np.cumsum(np.flip(mass), axis=0), axis=1))
-    return joint
+    return np.flip(np.cumsum(np.cumsum(np.flip(mass), axis=0), axis=1))
 
 
 def nod_check(dist: BoxDistribution, n: int, k: int, l: int,
               m1: int, m2: int, x1: int, x2: int):
     """(joint, product, holds) for P(N_k(m1)>=x1, N_l(m2)>=x2) <= product of
-    marginals; the joint comes from exhaustive enumeration, the marginals from
-    the exact binomial tails."""
+    marginals; the joint comes from nod_joint_table's recurrence, the
+    marginals from the exact binomial tails."""
     table = nod_joint_table(dist, n, k, l, m1, m2)
     x1 = min(max(x1, 0), table.shape[0] - 1)
     x2 = min(max(x2, 0), table.shape[1] - 1)

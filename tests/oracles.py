@@ -31,6 +31,15 @@ def binomial_tail_rational(k, p, r):
     return (b**k - lower) / b**k
 
 
+def tail_bound(k, p, r):
+    """The binomial tail bound (k*p)^r / r! on P(Bin(k, p) >= r)."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if k == 0 or p == 0.0:
+        return 0.0
+    return math.exp(r * math.log(k * p) - math.lgamma(r + 1))
+
+
 def per_ball_overflow_stats(balls, r):
     """(V, L, M) by replaying the draw ball by ball: a ball overflows iff its
     urn already holds at least r balls when it arrives."""
@@ -53,6 +62,16 @@ def sequence_overflow_pmf(probs, n, r):
         v = per_ball_overflow_stats(seq, r)[0]
         pmf[v] = pmf.get(v, 0.0) + math.prod(probs[b] for b in seq)
     return pmf
+
+
+def sequence_nod_table(probs, k, l, m1, m2):
+    """table[x1, x2] = P(C1 >= x1, C2 >= x2) over every ordered sequence of
+    l-1 balls, weighted by the product of its urn probabilities `probs`: C1
+    counts m1 among the first k-1 balls and C2 counts m2 among all l-1."""
+    mass = np.zeros((l + 1, l + 1))
+    for seq in itertools.product(range(len(probs)), repeat=l - 1):   # one empty seq at l = 1
+        mass[seq[: k - 1].count(m1), seq.count(m2)] += math.prod(probs[b] for b in seq)
+    return np.flip(np.cumsum(np.cumsum(np.flip(mass), axis=0), axis=1))
 
 
 def seedsequence_rng(seed, trial):

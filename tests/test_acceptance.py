@@ -20,12 +20,12 @@ from urnoverflow.asymptotics import regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (binomial_tail, exact_distribution,
                                exact_mean_overflow, exact_mean_via_counts,
-                               nod_joint_table, tail_bound)
+                               nod_joint_table)
 from urnoverflow.montecarlo import ExperimentConfig, run_experiment
 from urnoverflow.stats import (EmpiricalSummary, chi_square_poisson, ks_normal,
                                tv_distance_poisson)
 
-from oracles import batch_overflows, count_route_stats, sequence_overflow_pmf
+from oracles import batch_overflows, count_route_stats, sequence_overflow_pmf, tail_bound
 
 SMALL_GRID_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]
 

@@ -138,14 +138,20 @@ def test_exact_fig2_refused_fast(capsys):
 
 
 def test_exact_full_dist_budget_counts_cells(capsys):
-    # one composition per urn, 1e5 cells each: 1e10 cells
-    t0 = time.perf_counter()
-    code, out, err = run_cli(["exact", "--dist", "uniform:m=100000", "--balls", "1",
-                              "--capacity", "1", "--full-dist"], capsys)
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 3
-    assert out == ""
-    assert "cells" in err and "budget" in err
+    for m, n, r in [
+        (100_000, 1, 1),          # one composition per urn, 1e5 cells each: 1e10 cells
+        (25_118, 10_000, 2),      # fig3: a cell count of more than 4,300 digits
+        (10_540_926, 100_000, 2),  # fig1
+        (1_000, 5_000, 2),        # a cell count of 1,172 digits
+    ]:
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["exact", "--dist", f"uniform:m={m}", "--balls", str(n),
+                                  "--capacity", str(r), "--full-dist"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+        assert "cells" in err and "budget" in err
+        assert len(err) < 300
 
 
 def test_exact_full_dist_mass_check_is_usage_error(capsys):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from oracles import (binomial_tail_rational, exact_mean_rational, loop_mean_overflow,
-                     loop_overflow_pmf, sequence_overflow_pmf)
+                     loop_overflow_pmf, sequence_nod_table, sequence_overflow_pmf,
+                     tail_bound)
 from urnoverflow import exact
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (BudgetExceededError, binomial_tail,
                                exact_distribution, exact_mean_overflow,
-                               exact_mean_via_counts, nod_check, tail_bound)
+                               exact_mean_via_counts, nod_check, nod_joint_table)
 
 SMALL_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]
 
@@ -279,8 +280,41 @@ def test_nod_check_validation():
         nod_check(Uniform(3), 4, 3, 5, 1, 1, 1, 1)  # m1 == m2
     with pytest.raises(ValueError):
         nod_check(Uniform(3), 4, 5, 3, 0, 1, 1, 1)  # k > l
-    with pytest.raises(BudgetExceededError):
-        nod_check(Uniform(3), 20, 21, 21, 0, 1, 1, 1)   # 3^20 sequences > ORACLE_BUDGET
+    # 20 * 22^2 recurrence cells, well within ORACLE_BUDGET
+    joint, product, holds = nod_check(Uniform(3), 20, 21, 21, 0, 1, 1, 1)
+    assert holds is True
+    assert joint == pytest.approx(0.99939854, abs=1e-8)
+    assert product == pytest.approx(0.99939863, abs=1e-8)
+
+
+def test_nod_joint_table_matches_sequence_oracle():
+    # criterion 4's grid; n enters only the check k <= l <= n+1, so n = 6 covers it
+    for dist in [Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]:
+        probs = dist.support_probs()
+        for l in range(1, 8):
+            for k in range(1, l + 1):
+                for m1, m2 in itertools.permutations(range(dist.support_size), 2):
+                    got = nod_joint_table(dist, 6, k, l, m1, m2)
+                    want = sequence_nod_table(probs, k, l, m1, m2)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_nod_joint_table_budget_counts_cells():
+    # (l-1)(l+1)^2 cells: 9,984,384 at l = 215, 10,124,135 at l = 216
+    assert nod_joint_table(Uniform(3), 214, 215, 215, 0, 1).shape == (216, 216)
+    with pytest.raises(BudgetExceededError, match="10124135 cells"):
+        nod_joint_table(Uniform(3), 215, 216, 216, 0, 1)
+
+
+def test_nod_joint_table_margins_at_the_budget_edge():
+    p = 1 / 3
+    table = nod_joint_table(Uniform(3), 214, 107, 215, 0, 1)
+    x = range(216)
+    assert table[0, 0] == pytest.approx(1.0, abs=1e-13)
+    np.testing.assert_allclose(table[0], [binomial_tail(214, p, v) for v in x],
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(table[:, 0], [binomial_tail(106, p, v) for v in x],
+                               rtol=0, atol=1e-13)
 
 
 def test_nod_joint_against_independent_bruteforce():
