@@ -74,6 +74,19 @@ def sequence_nod_table(probs, k, l, m1, m2):
     return np.flip(np.cumsum(np.cumsum(np.flip(mass), axis=0), axis=1))
 
 
+def occupancy_pmf(m, n):
+    """P(K = k) for the number K of occupied urns when n balls fall uniformly
+    into m urns, C(m, k) k! S(n, k) / m^n with S the Stirling numbers of the
+    second kind, in exact integers and rounded once."""
+    stirling = [1] + [0] * n   # S(j, k), k = 0..n, from j = 0 up to n
+    for _ in range(n):
+        for k in range(n, 0, -1):
+            stirling[k] = k * stirling[k] + stirling[k - 1]
+        stirling[0] = 0
+    return {k: math.comb(m, k) * math.factorial(k) * stirling[k] / m ** n
+            for k in range(1, min(m, n) + 1)}
+
+
 def seedsequence_rng(seed, trial):
     """Trial i's stream built the direct way, one SeedSequence per trial."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))

@@ -13,6 +13,7 @@ import pytest
 import urnoverflow
 from urnoverflow import cli
 from urnoverflow.cli import PRESETS, main
+from urnoverflow.distributions import Uniform
 
 
 def run_cli(argv, capsys):
@@ -139,10 +140,10 @@ def test_exact_fig2_refused_fast(capsys):
 
 def test_exact_full_dist_budget_counts_cells(capsys):
     for m, n, r in [
-        (100_000, 1, 1),          # one composition per urn, 1e5 cells each: 1e10 cells
-        (25_118, 10_000, 2),      # fig3: a cell count of more than 4,300 digits
+        (100_000, 1, 1),          # 1e5 urns of 8 cells and a 1e3-cell step each
+        (25_118, 10_000, 2),      # fig3: 25,118 urns of about 1e12 cells each
         (10_540_926, 100_000, 2),  # fig1
-        (1_000, 5_000, 2),        # a cell count of 1,172 digits
+        (1_000, 5_000, 2),        # 1,000 urns of about 5e10 cells each
     ]:
         t0 = time.perf_counter()
         code, out, err = run_cli(["exact", "--dist", f"uniform:m={m}", "--balls", str(n),
@@ -154,13 +155,20 @@ def test_exact_full_dist_budget_counts_cells(capsys):
         assert len(err) < 300
 
 
-def test_exact_full_dist_mass_check_is_usage_error(capsys):
-    # the log-weights near lgamma(n+1) ~ 1e6 lose about 2e-10 each
+def test_exact_full_dist_mass_check_is_usage_error(monkeypatch, capsys):
+    # 1e5 balls in 2 urns: 2 urns of about 5e10 cells each are refused at once
+    t0 = time.perf_counter()
     code, out, err = run_cli(["exact", "--dist", "uniform:m=2", "--balls", "100000",
+                              "--capacity", "2", "--full-dist"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and "budget" in err
+    # urn probabilities summing to 1.2 give row n a mass far from P(Pois(n) = n)
+    monkeypatch.setattr(Uniform, "distinct_probs", lambda self: [(0.6, 2)])
+    code, out, err = run_cli(["exact", "--dist", "uniform:m=2", "--balls", "10",
                               "--capacity", "2", "--full-dist"], capsys)
     assert code == 2
     assert out == ""
-    assert "pmf mass" in err and "n=100000" in err
+    assert "pmf mass" in err and "n=10" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,15 +9,18 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from oracles import (binomial_tail_rational, exact_mean_rational, loop_mean_overflow,
-                     loop_overflow_pmf, sequence_nod_table, sequence_overflow_pmf,
-                     tail_bound)
+                     loop_overflow_pmf, occupancy_pmf, sequence_nod_table,
+                     sequence_overflow_pmf, tail_bound)
 from urnoverflow import exact
+from urnoverflow.asymptotics import regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (BudgetExceededError, binomial_tail,
                                exact_distribution, exact_mean_overflow,
                                exact_mean_via_counts, nod_check, nod_joint_table)
 
-SMALL_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]
+# Custom([1, 1e-20]) has an urn whose Poisson count is all but never above 0
+SMALL_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2]),
+               Custom([1, 1e-20])]
 
 
 def test_binomial_tail_examples():
@@ -89,7 +93,7 @@ def test_exact_mean_trivial_cases():
 
 
 @pytest.mark.parametrize("dist", SMALL_DISTS + [Geometric(0.4)])
-@pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (8, 3), (12, 1)])
+@pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (8, 3), (12, 1), (3, 5)])
 def test_two_mean_formulas_agree(dist, n, r):
     a = exact_mean_overflow(dist, n, r)
     b = exact_mean_via_counts(dist, n, r)
@@ -132,6 +136,13 @@ def test_mean_routes_match_rational_oracle(monkeypatch, dist, n, r, budget):
     assert exact_mean_via_counts(dist, n, r) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [60, 17])
+def test_overflow_mean_keeps_precision_where_the_retention_route_loses_it(n):
+    # n p = 0.06 and 0.017: exact_mean_via_counts is 2.3e-7 and 6.1e-5 off here
+    want = exact_mean_rational([(1 / 1000, 1000)], n, 5)
+    assert exact_mean_overflow(Uniform(1000), n, 5) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_fig4_mean_routes():
     # the value is the independent scipy.stats.binom sum of benchmark/reference_means.py
     a = exact_mean_overflow(Geometric(1e-4), 10_000, 4)
@@ -168,18 +179,11 @@ def test_array_routes_match_loop_oracles(dist, n, r):
     (Geometric(0.3), 40, 3), (Custom([5, 3, 2, 1]), 9, 2), (Uniform(1), 7, 2),
 ])
 def test_blocked_routes_match_one_block(monkeypatch, dist, n, r):
-    # a tiny block size splits the urns of both means, and the count vectors
-    # of the full law, into many blocks
+    # a tiny block size splits the urns of both means into many blocks
     means = (exact_mean_overflow(dist, n, r), exact_mean_via_counts(dist, n, r))
-    pmf = exact_distribution(dist, n, r).pmf if dist.finite_support else None
     monkeypatch.setattr(exact, "GRID_CELLS", 7)
     assert exact_mean_overflow(dist, n, r) == pytest.approx(means[0], rel=1e-13)
     assert exact_mean_via_counts(dist, n, r) == pytest.approx(means[1], rel=1e-13)
-    if pmf is not None:
-        blocked = exact_distribution(dist, n, r).pmf
-        assert set(blocked) == set(pmf)
-        for v in pmf:
-            assert blocked[v] == pytest.approx(pmf[v], rel=0.0, abs=1e-14)
 
 
 def test_counts_route_where_q_to_the_n_underflows():
@@ -209,35 +213,83 @@ def test_exact_distribution_examples():
 
 def test_exact_distribution_invariants():
     for dist in SMALL_DISTS:
-        for n, r in [(3, 1), (5, 2), (6, 3)]:
+        s = dist.support_size
+        for n, r in [(3, 1), (5, 2), (6, 3), (3, 5)]:
             d = exact_distribution(dist, n, r)
             assert sum(d.pmf.values()) == pytest.approx(1.0, abs=1e-10)
-            assert all(0 <= v <= max(n - r, 0) for v in d.pmf)
+            # n - V = sum_m min(N_m, r) takes every value from min(n, r) to min(n, s r)
+            assert list(d.pmf) == list(range(n - min(n, s * r), n - min(n, r) + 1))
             assert d.mean == pytest.approx(exact_mean_overflow(dist, n, r), abs=1e-10)
 
 
+def test_exact_distribution_matches_occupancy_oracle():
+    # at r = 1, n - V is the number of occupied urns
+    n, m = 40, 20
+    law = exact_distribution(Uniform(m), n, 1).pmf
+    occupied = occupancy_pmf(m, n)
+    assert set(law) == {n - k for k in occupied}
+    for k, prob in occupied.items():
+        assert law[n - k] == pytest.approx(prob, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("dist,n,r", [
+    (Uniform(10), 60, 3), (Custom(list(range(1, 8))), 50, 2), (Uniform(5), 100, 1),
+])
+def test_exact_distribution_beyond_enumeration(dist, n, r):
+    # 4.6e6 to 5.7e10 count vectors of s cells, far past ORACLE_BUDGET for an enumeration
+    d = exact_distribution(dist, n, r)
+    want = exact_mean_rational(dist.distinct_probs(), n, r)
+    assert d.mean == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert d.variance <= regime_report(dist, n, r).var_upper
+    s = dist.support_size
+    assert list(d.pmf) == list(range(n - min(n, s * r), n - min(n, r) + 1))
+
+
 def test_exact_distribution_budget():
-    # C(149, 49) count compositions exceed ORACLE_BUDGET = 1e7
+    # 50 urns of 101^2 * 101 cells each exceed ORACLE_BUDGET = 1e7
     with pytest.raises(BudgetExceededError):
         exact_distribution(Uniform(50), 100, 2)
 
 
-@pytest.mark.parametrize("m,n", [(100_000, 1), (5, 100), (3, 3000)])
+@pytest.mark.parametrize("m,n", [(100_000, 1), (5, 700), (3, 3000)])
 def test_exact_distribution_budget_counts_cells(m, n):
-    # few compositions, each of m cells: C(n+m-1, m-1) * m exceeds ORACLE_BUDGET
-    assert math.comb(n + m - 1, m - 1) <= exact.ORACLE_BUDGET
+    # m urns of (n+1)^2 (min(n, m)+1) + STEP_CELLS cells each exceed ORACLE_BUDGET;
+    # at n = 1 it is the per-step charge that refuses 1e5 urns of 8 array cells
     with pytest.raises(BudgetExceededError, match="cells"):
         exact_distribution(Uniform(m), n, 1)
 
 
 def test_exact_distribution_admits_the_budget_in_cells(monkeypatch):
-    # Uniform(6), n = 12: C(17, 5) = 6,188 compositions of 6 cells
-    monkeypatch.setattr(exact, "ORACLE_BUDGET", 6_188 * 6)
+    # Uniform(6), n = 12, r = 2: 6 urns of 13^2 * 13 + STEP_CELLS cells
+    cells = 6 * (13 ** 3 + exact.STEP_CELLS)
+    monkeypatch.setattr(exact, "ORACLE_BUDGET", cells)
     assert exact_distribution(Uniform(6), 12, 2).mean == pytest.approx(2.9609356863138396,
                                                                         rel=1e-12)
-    monkeypatch.setattr(exact, "ORACLE_BUDGET", 6_188 * 6 - 1)
+    monkeypatch.setattr(exact, "ORACLE_BUDGET", cells - 1)
     with pytest.raises(BudgetExceededError):
         exact_distribution(Uniform(6), 12, 2)
+
+
+def _law_cells(s, n, r):
+    """The cells the law of s urns is charged: (n+1)^2 (H+1) + STEP_CELLS an urn."""
+    return s * ((n + 1) ** 2 * (min(n, s * r) + 1) + exact.STEP_CELLS)
+
+
+@pytest.mark.parametrize("s,n,r", [
+    (9_920, 1, 1),                                            # the most urns at n = 1
+    (2, 1289, 1), (2, 998, 2), (1, 2234, 1), (3, 148, 50),   # the most balls for few urns
+])
+def test_exact_distribution_time_at_the_budget_edge(s, n, r):
+    # time predictable from the inputs: the largest admitted instances finish in
+    # under a second, and one more urn or one more ball is refused
+    assert _law_cells(s, n, r) <= exact.ORACLE_BUDGET
+    assert min(_law_cells(s + 1, n, r), _law_cells(s, n + 1, r)) > exact.ORACLE_BUDGET
+    t0 = time.perf_counter()
+    d = exact_distribution(Uniform(s), n, r)
+    assert time.perf_counter() - t0 < 1.0
+    assert sum(d.pmf.values()) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(BudgetExceededError):
+        exact_distribution(Uniform(s), n + 1, r)
 
 
 def test_sequence_enumeration_matches_count_oracle():
