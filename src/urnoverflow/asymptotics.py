@@ -16,7 +16,7 @@ liminf, hence the field name var_lower_asymptotic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .distributions import BoxDistribution
 
@@ -44,7 +44,10 @@ class RegimeReport:
     classification: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"n_p_star": self.n_p_star, "scaled_moment": self.scaled_moment,
+                "mu": self.mu, "var_upper": self.var_upper,
+                "var_lower_asymptotic": self.var_lower_asymptotic,
+                "classification": self.classification}
 
 
 def _classify(n_p_star: float, scaled_moment: float) -> str:

@@ -121,7 +121,7 @@ class Geometric:
 class Custom:
     """Explicit weights over urns 0..len(weights)-1, normalized on construction."""
 
-    __slots__ = ("probs", "cdf")
+    __slots__ = ("probs", "cdf", "_distinct")
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)
@@ -139,8 +139,11 @@ class Custom:
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
         cdf.setflags(write=False)
+        vals, counts = np.unique(probs, return_counts=True)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "_distinct",
+                           tuple((float(v), int(c)) for v, c in zip(vals, counts)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Custom distributions are immutable")
@@ -180,8 +183,8 @@ class Custom:
         return self.probs
 
     def distinct_probs(self):
-        vals, counts = np.unique(self.probs, return_counts=True)
-        return [(float(v), int(c)) for v, c in zip(vals, counts)]
+        """(probability, multiplicity) pairs, found once at construction."""
+        return self._distinct
 
 
 BoxDistribution = Uniform | Geometric | Custom

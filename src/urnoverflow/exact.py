@@ -1,15 +1,14 @@
 """Exact computations: binomial tails, the overflow mean by two independent
-routes (a closed form in two incomplete-beta tails per urn, and the pmf rows
-of the retention identity), the exact law of the overflow by a Poissonized
-urn-by-urn recurrence, and the exact joint tails of two urn counts that check
-the negative-dependence inequality, by a ball-by-ball recurrence.
+routes (sums of non-negative binomial terms per urn, and the retention
+identity), the exact law of the overflow by a Poissonized urn-by-urn
+recurrence, and the exact joint tails of two urn counts that check the
+negative-dependence inequality, by a ball-by-ball recurrence.
 
 Work is capped by the fixed module budgets MEAN_BUDGET and ORACLE_BUDGET;
 exceeding one raises BudgetExceededError rather than silently approximating.
 
-The incomplete beta comes from scipy.special.betainc, imported inside the two
-functions that call it: importing this module loads no scipy module, so
-`simulate` and `predict` start without scipy's import cost.
+Every binomial term comes from the pmf rows of _pmf_rows, a ratio product in
+numpy, so no exact route loads scipy.
 """
 
 from __future__ import annotations
@@ -44,11 +43,41 @@ class BudgetExceededError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# binomial tails
+# binomial pmf rows and tails
 # ---------------------------------------------------------------------------
 
+def _tail_span(r: int) -> int:
+    """Terms of Bin(n, p) past k = r + _tail_span(r) add less than e^-40 of
+    the sum from r up, wherever n p < r: each term is at most r/(r+j+1) times
+    the one before it, j terms past r."""
+    return math.ceil(9.0 * math.sqrt(r)) + 12
+
+
+def _pmf_rows(n: int, p: np.ndarray, top: int) -> np.ndarray:
+    """rows[u, k] = P(Bin(n, p[u]) = k) for k = 0..top, top <= n, p < 1.
+
+    P(N=0) = q^n times the cumulative product of P(N=i+1)/P(N=i) =
+    (n-i)/(i+1) p/q, in place in one array.  The rows whose q^n underflows
+    go in logs, whose partial sums of size |n log q| leave a relative error of
+    about that times the float epsilon: 7e-13 at n p = 750."""
+    log_q0 = n * np.log1p(-p)
+    i = np.arange(1, top + 1)
+    rows = np.empty((p.size, top + 1))
+    np.exp(log_q0, out=rows[:, 0])
+    np.multiply.outer(p / (1.0 - p), (n + 1 - i) / i, out=rows[:, 1:])
+    if log_q0.min(initial=0.0) >= -700.0:
+        return np.cumprod(rows, axis=1, out=rows)
+    deep = log_q0 < -700.0
+    logs = np.column_stack((log_q0[deep], np.log(rows[deep, 1:]))).cumsum(axis=1)
+    np.cumprod(rows, axis=1, out=rows)
+    rows[deep] = np.exp(logs)
+    return rows
+
+
 def binomial_tail(k: int, p: float, r: int) -> float:
-    """P(Bin(k, p) >= r) = I_p(r, k-r+1), by scipy's betainc (Boost's ibeta)."""
+    """P(Bin(k, p) >= r), from one pmf row: the terms from r up to r +
+    _tail_span(r) where k p < r, else 1 less the terms below r, a tail of at
+    least about 1/2 there, so no small tail is left to a complement."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not 0.0 <= p <= 1.0:
@@ -57,8 +86,11 @@ def binomial_tail(k: int, p: float, r: int) -> float:
         return 1.0
     if r > k:
         return 0.0
-    from scipy.special import betainc
-    return float(betainc(r, k - r + 1, p))
+    if p == 0.0 or p == 1.0:
+        return p        # the count is 0 or k
+    if k * p < r:
+        return float(_pmf_rows(k, np.array([p]), min(k, r + _tail_span(r)))[0, r:].sum())
+    return 1.0 - float(_pmf_rows(k, np.array([p]), r - 1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +131,27 @@ def _urns(dist: BoxDistribution, n: int, r: int, size: int):
 
 
 def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
-    """E V_{n,r} = sum_m p_m * sum_{k=1}^n P(Bin(k-1, p_m) >= r).
+    """E V_{n,r} = sum_m E(N_m - r)^+ with N_m = Bin(n, p_m), from pmf rows.
 
-    Summed over the arrivals, an urn's term is E(N - r)^+ with N = Bin(n, p).
-    E[N 1{N > r}] = n p P(Bin(n-1, p) >= r), so
-    E(N - r)^+ = n p P(Bin(n-1, p) >= r) - r P(N >= r+1),
-    with P(Bin(m, p) >= a) = I_p(a, m-a+1), the regularized incomplete beta,
-    over blocks of at most GRID_CELLS urns.
+    Where n p < r an urn's term is sum_{k>r} (k-r) P(N=k), cut at k = r +
+    _tail_span(r); where n p >= r it is n p - r + sum_{i<r} (r-i) P(N=i).
+    Both sums have non-negative terms, so neither cancels.  An urn with p = 1
+    gives n - r; one with p = 0 gives 0 through its row 1, 0, 0, ...  The urns
+    come in blocks of at most GRID_CELLS row cells.
     """
-    from scipy.special import betainc
+    top = min(n, r + _tail_span(r))
+    above = np.arange(1, top - r + 1)    # k - r for k = r+1..top
+    below = np.arange(r, 0, -1)          # r - i for i = 0..r-1
     total = 0.0
-    for p, mult in _urns(dist, n, r, GRID_CELLS):
-        total += float((n * p * betainc(r, n - r, p) - r * betainc(r + 1, n - r, p)) @ mult)
+    for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // (top + 1))):
+        certain = p == 1.0
+        if certain.any():                # a lone urn keeps r balls
+            total += float(mult[certain].sum()) * (n - r)
+            p, mult = p[~certain], mult[~certain]
+        rows = _pmf_rows(n, p, top)
+        mean = n * p
+        terms = np.where(mean < r, rows[:, r + 1:] @ above, mean - r + rows[:, :r] @ below)
+        total += float(terms @ mult)
     return total
 
 
@@ -118,22 +159,19 @@ def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:
     """E V_{n,r} = sum_m mult E(Bin(n, p_m) - r)^+, the per-urn retention view.
 
     With N = Bin(n, p), an urn gives n p - sum_{i<r} i P(N=i) - r P(N >= r)
-    from (urns x r) pmf rows, P(N=0) = q^n times the cumulative product of
-    P(N=i+1)/P(N=i) = (n-i)/(i+1) p/q; 1 - q^n by expm1 keeps small tails
-    precise.  Subtracting terms of size n p from a mean of size (n p)^(r+1)
-    leaves a relative floor where n p is small: 2.3e-7 against the exact
-    rational on Uniform(1000), n = 60, r = 5, and 6.1e-5 at n = 17."""
+    from the (urns x r) pmf rows of _pmf_rows; 1 - q^n by expm1 keeps small
+    tails precise.  Subtracting terms of size n p from a mean of size
+    (n p)^(r+1) leaves a relative floor where n p is small: 2.3e-7 against the
+    exact rational on Uniform(1000), n = 60, r = 5, and 6.1e-5 at n = 17."""
     i = np.arange(r)
     total = 0.0
     for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // r)):
-        total += float(mult[p == 1.0].sum()) * (n - r)   # a lone urn keeps r balls
-        p, mult = p[p < 1.0], mult[p < 1.0]
-        log_q0 = n * np.log1p(-p)
-        steps = np.multiply.outer(p / (1.0 - p), (n - i[:-1]) / i[1:])
-        pmf = np.column_stack((np.exp(log_q0), steps)).cumprod(axis=1)
-        deep = log_q0 < -700.0    # q^n underflows: these rows go in logs
-        pmf[deep] = np.exp(np.column_stack((log_q0, np.log(steps)))[deep].cumsum(axis=1))
-        tail = -np.expm1(log_q0) - pmf[:, 1:].sum(axis=1)
+        certain = p == 1.0
+        if certain.any():                # a lone urn keeps r balls
+            total += float(mult[certain].sum()) * (n - r)
+            p, mult = p[~certain], mult[~certain]
+        pmf = _pmf_rows(n, p, r - 1)
+        tail = -np.expm1(n * np.log1p(-p)) - pmf[:, 1:].sum(axis=1)
         total += float((n * p - pmf @ i - r * tail) @ mult)
     return total
 
@@ -178,6 +216,8 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
     mass = np.zeros((n + 1, top + 1))
     mass[0, 0] = 1.0
     for p, mult in dist.distinct_probs():
+        if p == 0.0:
+            continue    # a normalised mass that underflowed: no balls, an identity step
         # Pois(n p) in logs, so that no q[c] underflows with e^(-n p)
         q = np.exp(c * math.log(n * p) - n * p - log_fact)
         toeplitz = np.where(lag >= r, q[lag], 0.0)

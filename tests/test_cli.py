@@ -172,6 +172,19 @@ def test_exact_full_dist_mass_check_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_exact_full_dist_with_an_underflowing_urn(tmp_path, capsys):
+    # the masses normalise to 1 and 0: the empty urn gets no balls, an identity step
+    weights = tmp_path / "w.txt"
+    weights.write_text("1e300\n1e-300\n", encoding="utf-8")
+    code, out, err = run_cli(["exact", "--dist", f"custom:@{weights}", "--balls", "5",
+                              "--capacity", "1", "--full-dist", "--no-timing"], capsys)
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["exact_mean_overflow"] == 4.0
+    assert record["exact_distribution"]["mean"] == record["exact_mean_overflow"]
+    assert record["exact_distribution"]["pmf"] == {"3": 0.0, "4": 1.0}
+
+
 def test_exact_fig4_means_fast(capsys):
     # fig4 keeps 61,027 geometric urns above the cutoff; neither route sums over the balls
     t0 = time.perf_counter()
@@ -220,15 +233,20 @@ def _scipy_after(argv):
     return int(code), json.loads(mods)
 
 
-def test_cli_loads_scipy_only_for_exact():
+def test_cli_loads_scipy_only_for_a_scaled_preset():
     small = ["--dist", "uniform:m=400", "--balls", "40", "--capacity", "1"]
+    law = ["--dist", "uniform:m=4", "--balls", "8", "--capacity", "2"]
     for argv in ([], ["predict", *small],
                  ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "normal"],
-                 ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "poisson"]):
+                 ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "poisson"],
+                 ["exact", *small], ["exact", *law, "--full-dist"],
+                 ["exact", "--dist", "geometric:p=0.05", "--balls", "200", "--capacity", "2"]):
         assert _scipy_after(argv) == (0, []), argv
-    code, mods = _scipy_after(["exact", *small])
+    # a scaled fig2 solves for p with brentq, the package's one scipy call
+    code, mods = _scipy_after(["simulate", "--preset", "fig2", "--scale", "0.001",
+                               "--seed", "1", "--no-timing"])
     assert code == 0
-    assert "scipy.special" in mods
+    assert "scipy.optimize" in mods
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])

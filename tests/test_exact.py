@@ -65,6 +65,29 @@ def test_binomial_tail_keeps_small_tails_relative(k, p, r):
     assert binomial_tail(k, p, r) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("k,p,r", [
+    (8, 0.25, 2), (100, 0.5, 50), (40, 0.125, 5),         # k p == r: 1 less the terms below r
+    (9, 0.25, 3), (100, 0.123, 13), (1000, 0.0031, 4),    # r = ceil(k p): the terms from r up
+    (7, 1.0, 7), (7, 1.0, 1),                             # p = 1
+    (10, 1e-300, 1), (10, 1e-300, 2), (6, 0.0, 1),        # an underflowing p
+])
+def test_binomial_tail_at_the_regime_switch(k, p, r):
+    assert binomial_tail(k, p, r) == pytest.approx(binomial_tail_rational(k, p, r),
+                                                   rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 30, 300, 1000])
+def test_tail_span_leaves_less_than_e_to_the_minus_40(r):
+    # n p just below r, where the terms past r fall slowest; at r = 1000 q^n
+    # underflows and the row goes in logs
+    n = 10 * r + 100
+    row = exact._pmf_rows(n, np.array([(r - 1e-9) / n]), n)[0]
+    k = np.arange(n + 1)
+    for terms in (row, np.maximum(k - r, 0) * row):    # binomial_tail's sum, the mean's
+        past = terms[r + 1 + exact._tail_span(r):].sum()
+        assert past < math.exp(-40) * terms[r + 1:].sum()
+
+
 def test_tail_bound_examples():
     assert tail_bound(3, 0.5, 2) == pytest.approx(1.125, abs=1e-12)
     assert tail_bound(10, 0.1, 1) == pytest.approx(1.0, abs=1e-12)
@@ -141,6 +164,17 @@ def test_overflow_mean_keeps_precision_where_the_retention_route_loses_it(n):
     # n p = 0.06 and 0.017: exact_mean_via_counts is 2.3e-7 and 6.1e-5 off here
     want = exact_mean_rational([(1 / 1000, 1000)], n, 5)
     assert exact_mean_overflow(Uniform(1000), n, 5) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dist,n,r", [
+    (Uniform(4), 8, 2), (Uniform(5), 500, 100), (Geometric(0.25), 40, 10),  # n p == r
+    (Uniform(4), 9, 3), (Uniform(3), 100, 34),                              # r = ceil(n p)
+    (Uniform(1), 7, 2), (Uniform(1), 3, 1),                                 # p = 1
+    (Custom([1e300, 1e-300]), 5, 1), (Custom([1e300, 1e-300, 1e-300]), 6, 2),  # p underflows
+])
+def test_overflow_mean_at_the_regime_switch(dist, n, r):
+    want = exact_mean_rational(_mean_urns(dist, n, r), n, r)
+    assert exact_mean_overflow(dist, n, r) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_fig4_mean_routes():
