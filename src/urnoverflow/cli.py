@@ -57,11 +57,12 @@ def _scaled_preset(name: str, scale: float) -> dict:
         # mu = n^(r+1) / ((r+1)! m^r)  =>  m = (n^(r+1) / ((r+1)! mu))^(1/r)
         p["m"] = max(1, round((n ** (r + 1) / (math.factorial(r + 1) * p["mu"])) ** (1.0 / r)))
     elif name == "fig2":
-        # imported here: only this branch needs scipy, whose import would
-        # double the CLI's start-up
-        from scipy.optimize import brentq
-        p["p"] = brentq(lambda q: regime_report(Geometric(q), n, r).mu - p["mu"],
-                        1e-300, 1.0 - 1e-12)
+        # mu rises with p: bisect log p until the ends are adjacent floats
+        lo, hi = math.log(1e-300), math.log1p(-1e-12)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            low = regime_report(Geometric(math.exp(mid)), n, r).mu < p["mu"]
+            lo, hi = (mid, hi) if low else (lo, mid)
+        p["p"] = math.exp(hi)
     elif name == "fig3":
         p["m"] = max(1, round(n ** 1.1))
     elif name == "fig4":

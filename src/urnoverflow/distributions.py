@@ -69,7 +69,8 @@ class Uniform:
         return rng.integers(0, self.urn_count, size=size, dtype=dtype)
 
     def support_probs(self) -> np.ndarray:
-        return np.full(self.urn_count, 1.0 / self.urn_count)
+        # a read-only zero-stride view: one float, whatever m
+        return np.broadcast_to(1.0 / self.urn_count, (self.urn_count,))
 
     def distinct_probs(self):
         """(probability, multiplicity) pairs; collapses identical urns."""
@@ -110,10 +111,9 @@ class Geometric:
         np.negative(u, out=u)
         np.log1p(u, out=u)
         u /= log_q
-        np.floor(u, out=u)
-        # one cast, to int32 when the largest reachable index (from u = _U_MAX)
-        # fits with one index to spare for libm rounding; the switch sits near
-        # p = 1.7e-8
+        # the quotients are >= +0, so the cast's truncation is their floor; to
+        # int32 when the largest reachable index (from u = _U_MAX) fits with
+        # one index to spare for libm rounding; the switch sits near p = 1.7e-8
         top = math.floor(math.log1p(-_U_MAX) / log_q)
         return u.astype(np.int32 if top < 2**31 - 1 else np.int64)
 

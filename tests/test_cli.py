@@ -12,8 +12,9 @@ import pytest
 
 import urnoverflow
 from urnoverflow import cli
+from urnoverflow.asymptotics import regime_report
 from urnoverflow.cli import PRESETS, main
-from urnoverflow.distributions import Uniform
+from urnoverflow.distributions import Geometric, Uniform
 
 
 def run_cli(argv, capsys):
@@ -212,41 +213,38 @@ def test_exact_full_dist_refuses_before_any_mean_work(monkeypatch, capsys):
 
 
 _SCIPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+sys.modules["scipy"] = None   # any scipy import now raises ImportError
 from urnoverflow import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(code)
 """
 
 
-def _scipy_after(argv):
-    """(exit code, loaded scipy modules) of a fresh interpreter that imports
-    urnoverflow.cli and, given argv, runs it."""
+def _code_without_scipy(argv):
+    """Exit code of a fresh interpreter in which scipy cannot be imported,
+    that imports urnoverflow.cli and, given argv, runs it."""
     src = str(Path(urnoverflow.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, _, mods = proc.stdout.strip().partition(" ")
-    return int(code), json.loads(mods)
+    return int(proc.stdout)
 
 
-def test_cli_loads_scipy_only_for_a_scaled_preset():
+def test_no_command_loads_scipy():
     small = ["--dist", "uniform:m=400", "--balls", "40", "--capacity", "1"]
     law = ["--dist", "uniform:m=4", "--balls", "8", "--capacity", "2"]
+    fig2 = ["simulate", "--preset", "fig2", "--seed", "1", "--no-timing", "--scale"]
     for argv in ([], ["predict", *small],
                  ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "normal"],
                  ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "poisson"],
+                 [*fig2, "0.001"], [*fig2, "0.5"],
                  ["exact", *small], ["exact", *law, "--full-dist"],
                  ["exact", "--dist", "geometric:p=0.05", "--balls", "200", "--capacity", "2"]):
-        assert _scipy_after(argv) == (0, []), argv
-    # a scaled fig2 solves for p with brentq, the package's one scipy call
-    code, mods = _scipy_after(["simulate", "--preset", "fig2", "--scale", "0.001",
-                               "--seed", "1", "--no-timing"])
-    assert code == 0
-    assert "scipy.optimize" in mods
+        assert _code_without_scipy(argv) == 0, argv
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])
@@ -307,6 +305,13 @@ def test_preset_scaling_keeps_mu(capsys):
                             "--seed", "4", "--gof", "poisson", "--no-timing"], capsys)
     record = json.loads(out)
     assert record["theory"]["mu"] == pytest.approx(2.25, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [0.001, 0.01, 0.1, 0.5, 0.9])
+def test_scaled_fig2_solves_mu_to_rounding(scale):
+    p = cli._scaled_preset("fig2", scale)
+    mu = regime_report(Geometric(p["p"]), p["n"], p["r"]).mu
+    assert mu == pytest.approx(2.25, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4"])

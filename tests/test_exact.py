@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,13 @@ def test_overflow_mean_keeps_precision_where_the_retention_route_loses_it(n):
 def test_overflow_mean_at_the_regime_switch(dist, n, r):
     want = exact_mean_rational(_mean_urns(dist, n, r), n, r)
     assert exact_mean_overflow(dist, n, r) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [740, 760, 800])
+def test_overflow_mean_on_pmf_rows_in_logs(r):
+    # n p = 750: each row has n log q < -700 and is built in logs, r near n p
+    want = exact_mean_rational([(1 / 4, 4)], 3000, r)
+    assert exact_mean_overflow(Uniform(4), 3000, r) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_fig4_mean_routes():
@@ -371,6 +379,18 @@ def test_nod_check_validation():
     assert holds is True
     assert joint == pytest.approx(0.99939854, abs=1e-8)
     assert product == pytest.approx(0.99939863, abs=1e-8)
+
+
+def test_nod_check_reads_two_urn_masses_only():
+    # Uniform's masses are one float seen m times, so m allocates nothing
+    tracemalloc.start()
+    try:
+        _, _, holds = nod_check(Uniform(10**7), 4, 3, 5, 0, 1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds
+    assert peak < 2**20
 
 
 def test_nod_joint_table_matches_sequence_oracle():

@@ -1,5 +1,5 @@
 """Every name a module lists in ``__all__`` exists, so its star import works,
-every module-level import is used, and scipy is imported in one place only."""
+every module-level import is used, and no module imports scipy."""
 
 import ast
 import importlib
@@ -55,30 +55,23 @@ def test_no_unused_module_imports():
 
 
 def _scipy_imports(path):
-    """'<file>:<function>' for every import of scipy in the file, at any depth;
-    the function is the innermost enclosing def, or None at module level."""
+    """'<file>:<line>' for every import of scipy in the file, at any depth."""
     found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.partition(".")[0] == "scipy" for name in names):
-                found.append(f"{path.name}:{func}")
-            visit(child, child.name if isinstance(child, (ast.FunctionDef,
-                                                          ast.AsyncFunctionDef)) else func)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == "scipy" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
     return found
 
 
-def test_only_the_scaled_preset_imports_scipy():
-    # fig2's --scale solves for p with brentq; every other path, including the
-    # ones no CLI command reaches, runs on numpy and the standard library
+def test_no_module_imports_scipy():
+    # the package runs on numpy and the standard library, on every path,
+    # including the ones no CLI command reaches
     src = Path(urnoverflow.__file__).parent
     found = [f for path in sorted(src.glob("*.py")) for f in _scipy_imports(path)]
-    assert found == ["cli.py:_scaled_preset"]
+    assert found == []
