@@ -44,10 +44,7 @@ class RegimeReport:
     classification: str
 
     def to_dict(self) -> dict:
-        return {"n_p_star": self.n_p_star, "scaled_moment": self.scaled_moment,
-                "mu": self.mu, "var_upper": self.var_upper,
-                "var_lower_asymptotic": self.var_lower_asymptotic,
-                "classification": self.classification}
+        return dict(vars(self))      # the fields in order, without asdict's deep copy
 
 
 def _classify(n_p_star: float, scaled_moment: float) -> str:

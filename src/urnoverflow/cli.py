@@ -71,12 +71,8 @@ def _scaled_preset(name: str, scale: float) -> dict:
 
 
 def _summary_dict(summary) -> dict:
-    return {
-        "histogram": {str(k): v for k, v in summary.histogram.items()},
-        "reps": summary.reps,
-        "mean": summary.mean,
-        "variance": summary.variance,
-    }
+    # the fields by name; asdict would deep-copy the histogram only to replace it
+    return {**vars(summary), "histogram": {str(k): v for k, v in summary.histogram.items()}}
 
 
 def _emit_json(record: dict) -> None:

@@ -54,12 +54,19 @@ def _tail_span(r: int) -> int:
 
 
 def _pmf_rows(n: int, p: np.ndarray, top: int) -> np.ndarray:
-    """rows[u, k] = P(Bin(n, p[u]) = k) for k = 0..top, top <= n, p < 1.
+    """rows[u, k] = P(Bin(n, p[u]) = k) for k = 0..top, top <= n, 0 <= p <= 1.
 
     P(N=0) = q^n times the cumulative product of P(N=i+1)/P(N=i) =
     (n-i)/(i+1) p/q, in place in one array.  The rows whose q^n underflows
     go in logs, whose partial sums of size |n log q| leave a relative error of
-    about that times the float epsilon: 7e-13 at n p = 750."""
+    about that times the float epsilon: 7e-13 at n p = 750.  A row with p = 1
+    is the point mass at n, built from a p = 0 row so that q = 0 is never
+    divided by or taken the log of."""
+    certain = p == 1.0
+    if certain.any():
+        rows = _pmf_rows(n, np.where(certain, 0.0, p), top)
+        rows[certain] = np.arange(top + 1) == n
+        return rows
     log_q0 = n * np.log1p(-p)
     i = np.arange(1, top + 1)
     rows = np.empty((p.size, top + 1))
@@ -86,8 +93,6 @@ def binomial_tail(k: int, p: float, r: int) -> float:
         return 1.0
     if r > k:
         return 0.0
-    if p == 0.0 or p == 1.0:
-        return p        # the count is 0 or k
     if k * p < r:
         return float(_pmf_rows(k, np.array([p]), min(k, r + _tail_span(r)))[0, r:].sum())
     return 1.0 - float(_pmf_rows(k, np.array([p]), r - 1).sum())
@@ -127,7 +132,8 @@ def _urns(dist: BoxDistribution, n: int, r: int, size: int):
         raise BudgetExceededError(
             f"geometric truncation exceeded mean budget {MEAN_BUDGET}")
     blocks = (np.arange(lo, min(lo + size, urns)) for lo in range(0, urns, size))
-    return ((p * (1.0 - p) ** j, np.ones(j.size)) for j in blocks)
+    # p q^j as p e^(j log q): one rounding of log q, not one of q per power
+    return ((p * np.exp(j * math.log1p(-p)), np.ones(j.size)) for j in blocks)
 
 
 def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
@@ -136,18 +142,15 @@ def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
     Where n p < r an urn's term is sum_{k>r} (k-r) P(N=k), cut at k = r +
     _tail_span(r); where n p >= r it is n p - r + sum_{i<r} (r-i) P(N=i).
     Both sums have non-negative terms, so neither cancels.  An urn with p = 1
-    gives n - r; one with p = 0 gives 0 through its row 1, 0, 0, ...  The urns
-    come in blocks of at most GRID_CELLS row cells.
+    gives n - r through its row 0, ..., 0, 1, and one with p = 0 gives 0
+    through its row 1, 0, 0, ...  The urns come in blocks of at most
+    GRID_CELLS row cells.
     """
     top = min(n, r + _tail_span(r))
     above = np.arange(1, top - r + 1)    # k - r for k = r+1..top
     below = np.arange(r, 0, -1)          # r - i for i = 0..r-1
     total = 0.0
     for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // (top + 1))):
-        certain = p == 1.0
-        if certain.any():                # a lone urn keeps r balls
-            total += float(mult[certain].sum()) * (n - r)
-            p, mult = p[~certain], mult[~certain]
         rows = _pmf_rows(n, p, top)
         mean = n * p
         terms = np.where(mean < r, rows[:, r + 1:] @ above, mean - r + rows[:, :r] @ below)
@@ -166,12 +169,9 @@ def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:
     i = np.arange(r)
     total = 0.0
     for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // r)):
-        certain = p == 1.0
-        if certain.any():                # a lone urn keeps r balls
-            total += float(mult[certain].sum()) * (n - r)
-            p, mult = p[~certain], mult[~certain]
         pmf = _pmf_rows(n, p, r - 1)
-        tail = -np.expm1(n * np.log1p(-p)) - pmf[:, 1:].sum(axis=1)
+        with np.errstate(divide="ignore"):      # log q = -inf where p = 1: q^n = 0
+            tail = -np.expm1(n * np.log1p(-p)) - pmf[:, 1:].sum(axis=1)
         total += float((n * p - pmf @ i - r * tail) @ mult)
     return total
 

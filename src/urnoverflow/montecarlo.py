@@ -94,36 +94,22 @@ def _block_words(seed: int, block: int) -> np.ndarray:
     """SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
     for the BLOCK trials i of one block, as a read-only (BLOCK, 4) array.
 
-    This is SeedSequence's mix_entropy and generate_state on uint32 arrays
-    (all arithmetic mod 2**32).  Its entropy is the seed's two 32-bit words
-    padded to the pool size, then the one-word spawn key i < 2**32.  The
-    hash constant advances the same way whatever the data, so the seed words
-    are hashed on length-1 arrays and only the spawn key is a full block.
+    SeedSequence(seed).pool is numpy's own hash of the seed words: a one-word
+    spawn key only pads them with zeros to the pool size, which hashes the
+    same, and filling the pool advances the first hash constant 16 times.
+    What is left is SeedSequence's mix of the spawn key i < 2**32 into that
+    pool, then generate_state, on uint32 arrays (all arithmetic mod 2**32);
+    the pool words are length-1 arrays, so each mix spans the whole block.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
-    seed = int(seed)
+    hash_const = _INIT_A * pow(_MULT_A, 16, 1 << 32) & 0xFFFFFFFF
     trials = np.arange(BLOCK, dtype=np.uint32) + np.uint32(block * BLOCK)
-    entropy = [np.array([word], dtype=np.uint32)
-               for word in (seed & 0xFFFFFFFF, seed >> 32, 0, 0)]
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for dst in range(4):
-        pool[dst] = mix(pool[dst], hashmix(trials))
+    pool = []
+    for word in np.random.SeedSequence(seed).pool.reshape(4, 1):
+        value = trials ^ hash_const
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value *= hash_const
+        mixed = word * _MIX_MULT_L - (value ^ (value >> 16)) * _MIX_MULT_R
+        pool.append(mixed ^ (mixed >> 16))
 
     hash_const = _INIT_B
     state = np.empty((BLOCK, 8), dtype=np.uint32)

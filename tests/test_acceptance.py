@@ -7,14 +7,17 @@ experiments are shared through session fixtures.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import urnoverflow
 from urnoverflow.allocation import streaming_overflow
 from urnoverflow.asymptotics import regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform
@@ -279,10 +282,13 @@ def test_criterion_12_cli_thread_determinism():
             "--dist", "uniform:m=25118", "--balls", "10000", "--capacity", "2",
             "--reps", "10000", "--seed", "20260823", "--collect", "v",
             "--no-timing"]
+    src = str(Path(urnoverflow.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     outputs = []
     for threads in (1, 4, 8):
         proc = subprocess.run(args + ["--threads", str(threads)],
-                              capture_output=True, text=True, check=True)
+                              capture_output=True, text=True, check=True, env=env)
         outputs.append(proc.stdout)
     ok = outputs[0] == outputs[1] == outputs[2]
     json.loads(outputs[0])  # still valid JSON

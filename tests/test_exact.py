@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (BudgetExceededError, binomial_tail,
                                exact_distribution, exact_mean_overflow,
                                exact_mean_via_counts, nod_check, nod_joint_table)
+
+# no exact route may warn, on a certain urn (p = 1) or on an underflow
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Custom([1, 1e-20]) has an urn whose Poisson count is all but never above 0
 SMALL_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2]),
@@ -89,6 +93,19 @@ def test_tail_span_leaves_less_than_e_to_the_minus_40(r):
         assert past < math.exp(-40) * terms[r + 1:].sum()
 
 
+@pytest.mark.parametrize("top", [12, 5])
+def test_pmf_rows_for_every_p_in_the_unit_interval(top):
+    n, ps = 12, [0.0, 1e-300, 0.3, 1.0]
+    rows = exact._pmf_rows(n, np.array(ps), top)
+    assert rows.shape == (len(ps), top + 1)
+    for row, p in zip(rows, ps):
+        p = Fraction(p)
+        for k in range(top + 1):
+            want = float(math.comb(n, k) * p**k * (1 - p)**(n - k))
+            assert row[k] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert list(rows[-1]) == [0.0] * top + [1.0 if top == n else 0.0]
+
+
 def test_tail_bound_examples():
     assert tail_bound(3, 0.5, 2) == pytest.approx(1.125, abs=1e-12)
     assert tail_bound(10, 0.1, 1) == pytest.approx(1.0, abs=1e-12)
@@ -137,6 +154,14 @@ def test_urn_blocks_hold_at_most_size_urns_in_order(dist, n, r):
     blocks = list(exact._urns(dist, n, r, 7))
     assert all(0 < p.size <= 7 and p.size == mult.size for p, mult in blocks)
     assert [pair for block in blocks for pair in zip(*block)] == _mean_urns(dist, n, r)
+
+
+def test_geometric_urn_masses_are_p_q_to_the_j():
+    # fig4's urns: a mass built as p (1 - p)^j would round 1 - p once per power
+    urns = [p for p, _ in _mean_urns(Geometric(1e-4), 10_000, 4)]
+    p = Fraction(1e-4)
+    for j in (0, len(urns) // 2, len(urns) - 1):
+        assert urns[j] == pytest.approx(float(p * (1 - p)**j), rel=1e-14, abs=0.0)
 
 
 def test_urn_budget_raises_before_any_block():
