@@ -129,7 +129,8 @@ class Custom:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must all be finite and strictly positive")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):     # an infinite sum is refused below
+            total = float(w.sum())
         if not (0.0 < total < math.inf):
             raise ValueError(f"weight sum must be finite and positive, got {total}")
         probs = w / total

@@ -81,21 +81,26 @@ def _pmf_rows(n: int, p: np.ndarray, top: int) -> np.ndarray:
     return rows
 
 
+def _tail_sum(n: int, p: np.ndarray, r: int, g0: float, g1: float) -> np.ndarray:
+    """E[g(N) 1{N >= r}] per urn, N = Bin(n, p) and g(k) = g0 + g1 k, from one
+    pmf row: the terms from r to r + _tail_span(r) where n p < r, else g0 + g1 n p
+    less the terms below r.  Neither cancels for the overflow, g(k) = k - r <= 0
+    below r, nor for g = 1, whose tail is at least about 1/2 where n p >= r."""
+    top = min(n, r + _tail_span(r))
+    g = g0 + g1 * np.arange(top + 1)
+    rows = _pmf_rows(n, p, top)
+    return np.where(n * p < r, rows[:, r:] @ g[r:], g0 + g1 * n * p - rows[:, :r] @ g[:r])
+
+
 def binomial_tail(k: int, p: float, r: int) -> float:
-    """P(Bin(k, p) >= r), from one pmf row: the terms from r up to r +
-    _tail_span(r) where k p < r, else 1 less the terms below r, a tail of at
-    least about 1/2 there, so no small tail is left to a complement."""
+    """P(Bin(k, p) >= r), the g = 1 case of _tail_sum."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     if r <= 0:
         return 1.0
-    if r > k:
-        return 0.0
-    if k * p < r:
-        return float(_pmf_rows(k, np.array([p]), min(k, r + _tail_span(r)))[0, r:].sum())
-    return 1.0 - float(_pmf_rows(k, np.array([p]), r - 1).sum())
+    return float(_tail_sum(k, np.array([p]), r, 1.0, 0.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +142,11 @@ def _urns(dist: BoxDistribution, n: int, r: int, size: int):
 
 
 def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
-    """E V_{n,r} = sum_m E(N_m - r)^+ with N_m = Bin(n, p_m), from pmf rows.
-
-    Where n p < r an urn's term is sum_{k>r} (k-r) P(N=k), cut at k = r +
-    _tail_span(r); where n p >= r it is n p - r + sum_{i<r} (r-i) P(N=i).
-    Both sums have non-negative terms, so neither cancels.  An urn with p = 1
-    gives n - r through its row 0, ..., 0, 1, and one with p = 0 gives 0
-    through its row 1, 0, 0, ...  The urns come in blocks of at most
-    GRID_CELLS row cells.
-    """
-    top = min(n, r + _tail_span(r))
-    above = np.arange(1, top - r + 1)    # k - r for k = r+1..top
-    below = np.arange(r, 0, -1)          # r - i for i = 0..r-1
-    total = 0.0
-    for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // (top + 1))):
-        rows = _pmf_rows(n, p, top)
-        mean = n * p
-        terms = np.where(mean < r, rows[:, r + 1:] @ above, mean - r + rows[:, :r] @ below)
-        total += float(terms @ mult)
-    return total
+    """E V_{n,r} = sum_m E(N_m - r)^+ with N_m = Bin(n, p_m), the g(k) = k - r
+    case of _tail_sum over the urns in blocks of at most GRID_CELLS row cells;
+    an urn with p = 1 gives n - r through its row 0, ..., 0, 1."""
+    blocks = _urns(dist, n, r, max(1, GRID_CELLS // (min(n, r + _tail_span(r)) + 1)))
+    return sum((float(_tail_sum(n, p, r, -r, 1) @ mult) for p, mult in blocks), 0.0)
 
 
 def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:

@@ -7,6 +7,7 @@ uses the one-sample Kolmogorov-Smirnov statistic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,15 +49,13 @@ class EmpiricalSummary:
         return cls(histogram=hist, reps=reps, mean=mean, variance=variance)
 
 
-def _poisson_table(summary: EmpiricalSummary, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(observed counts, Pois(mu) pmf, Poisson mass beyond them) on 0..K.
-
-    The pmf runs until its mass reaches 1 - POISSON_TAIL_TOL, or at most to
-    ceil(mu + 12 sqrt(mu) + 40), beyond which Bernstein's inequality leaves
-    less than 1e-26 of the mass: summed pmf terms of a large mu can stop short
-    of 1 - POISSON_TAIL_TOL by rounding alone.  K also reaches the largest
-    observed value; a negative one counts at 0.
-    """
+@functools.lru_cache(maxsize=1)
+def _poisson_terms(mu: float) -> tuple[np.ndarray, float]:
+    """(read-only Pois(mu) pmf on 0..K, its summed mass), built once per mu for
+    both fits.  The pmf runs until its mass reaches 1 - POISSON_TAIL_TOL, or at
+    most to ceil(mu + 12 sqrt(mu) + 40), beyond which Bernstein's inequality
+    leaves less than 1e-26 of the mass: summed pmf terms of a large mu can stop
+    short of 1 - POISSON_TAIL_TOL by rounding alone."""
     bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
     if bound >= 10_000_000:
         raise ValueError(f"the Poisson table for mu = {mu!r} needs more than 10^7 terms")
@@ -64,11 +63,20 @@ def _poisson_table(summary: EmpiricalSummary, mu: float) -> tuple[np.ndarray, np
     while cum < 1.0 - POISSON_TAIL_TOL and len(pmf) <= bound:
         pmf.append(poisson_pmf(mu, len(pmf)))
         cum += pmf[-1]
-    top = max(max(summary.histogram), len(pmf) - 1)
+    pmf = np.array(pmf)
+    pmf.flags.writeable = False
+    return pmf, cum
+
+
+def _poisson_table(summary: EmpiricalSummary, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(observed counts, Pois(mu) pmf, Poisson mass beyond them) on 0..K, K at
+    least the largest observed value; a negative one counts at 0."""
+    pmf, cum = _poisson_terms(mu)
+    top = max(max(summary.histogram), pmf.size - 1)
     observed = np.zeros(top + 1)
     for k, v in summary.histogram.items():
         observed[max(k, 0)] += v
-    return observed, np.pad(pmf, (0, top + 1 - len(pmf))), max(1.0 - cum, 0.0)
+    return observed, np.pad(pmf, (0, top + 1 - pmf.size)), max(1.0 - cum, 0.0)
 
 
 def tv_distance_poisson(summary: EmpiricalSummary, mu: float) -> float:

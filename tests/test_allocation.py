@@ -25,6 +25,16 @@ def test_n_equal_r_never_overflows():
             assert v == 0
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (overflow_stats, (np.arange(3), 0), "capacity r must be >= 1"),
+    (run_trial, (Uniform(2), 0, 1, np.random.default_rng(0)), "n must be >= 1"),
+    (run_trial, (Uniform(2), 3, 0, np.random.default_rng(0)), "capacity r must be >= 1"),
+], ids=["overflow_stats r=0", "run_trial n=0", "run_trial r=0"])
+def test_trial_sizes_below_one_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
 def test_uniform2_n4_r1_support():
     # V = 4 - (#occupied urns), occupied in {1, 2}
     rng = np.random.default_rng(7)

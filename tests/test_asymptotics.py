@@ -67,6 +67,11 @@ def test_poisson_pmf_examples():
         poisson_pmf(0.0, 1)
 
 
+@pytest.mark.parametrize("mu, k", [(1.5, -1), (2.25, -3), (1e6, -1)])
+def test_poisson_pmf_is_zero_below_its_support(mu, k):
+    assert poisson_pmf(mu, k) == 0.0
+
+
 def test_geometric_scaled_moment_examples():
     def scaled(p, n, r):
         return regime_report(Geometric(p), n, r).scaled_moment

