@@ -10,8 +10,7 @@ from urnoverflow import (ExperimentConfig, Uniform, chi_square_poisson,
                          regime_report, run_experiment, tv_distance_poisson)
 
 dist = Uniform(333_333)
-cfg = ExperimentConfig(dist=dist, n=10_000, r=2, reps=5_000, seed=123,
-                       collect=("V",))
+cfg = ExperimentConfig(dist=dist, n=10_000, r=2, reps=5_000, seed=123)
 report = regime_report(dist, cfg.n, cfg.r)
 print(f"regime classification: {report.classification}  (mu = {report.mu:.4f})")
 

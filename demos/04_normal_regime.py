@@ -14,8 +14,7 @@ from urnoverflow import (ExperimentConfig, Uniform, ks_normal, regime_report,
                          run_experiment)
 
 dist = Uniform(25_118)
-cfg = ExperimentConfig(dist=dist, n=10_000, r=2, reps=5_000, seed=321,
-                       collect=("V",))
+cfg = ExperimentConfig(dist=dist, n=10_000, r=2, reps=5_000, seed=321)
 report = regime_report(dist, cfg.n, cfg.r)
 print(f"regime classification: {report.classification} "
       f"(scaled moment = {report.scaled_moment:.1f})")
@@ -24,7 +23,6 @@ v = run_experiment(cfg)["V"]
 sd = math.sqrt(v.variance)
 print(f"empirical mean {v.mean:.2f}, sd {sd:.2f}")
 
-samples = np.repeat(np.fromiter(v.histogram.keys(), dtype=float),
-                    np.fromiter(v.histogram.values(), dtype=int))
-ks = ks_normal((samples - v.mean) / sd)
+values = np.fromiter(v.histogram, dtype=float)
+ks = ks_normal((values - v.mean) / sd, list(v.histogram.values()))
 print(f"KS statistic of standardized V against N(0,1): {ks:.4f}")

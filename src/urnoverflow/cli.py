@@ -20,7 +20,7 @@ from .distributions import Geometric, parse_dist_spec
 from .exact import (BudgetExceededError, exact_distribution,
                     exact_mean_overflow, exact_mean_via_counts)
 from .montecarlo import ExperimentConfig, run_experiment
-from .stats import chi_square_poisson, ks_normal, tv_distance_poisson
+from .stats import _poisson_terms, chi_square_poisson, ks_normal, tv_distance_poisson
 
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
@@ -102,8 +102,11 @@ def cmd_simulate(args) -> int:
     dist = parse_dist_spec(dist_spec)
 
     collect = tuple(c.upper() for c in args.collect.split(","))
+    if not set(collect) <= {"V", "L", "M"} or len(set(collect)) < len(collect):
+        raise UsageError(f"collect must be a non-empty subset of V,L,M without "
+                         f"repeats, got {collect}")
     config = ExperimentConfig(dist=dist, n=n, r=r, reps=reps, seed=args.seed,
-                              collect=collect, identity_checks=args.identity_checks,
+                              identity_checks=args.identity_checks,
                               threads=args.threads)
     report = regime_report(dist, n, r)
     stat = collect[0]
@@ -113,6 +116,7 @@ def cmd_simulate(args) -> int:
         if stat != "V" and r == 1:
             raise UsageError(f"--gof poisson has no limit law for {stat} at capacity 1")
         mu = report.mu if stat == "V" else regime_report(dist, n, r - 1).mu
+        _poisson_terms(mu)    # an oversized table is refused before any trial runs
     t0 = time.perf_counter()
     summaries = run_experiment(config)
     elapsed = time.perf_counter() - t0
@@ -134,9 +138,8 @@ def cmd_simulate(args) -> int:
         if sd == 0.0:
             fit["ks_normal"] = {"error": "zero empirical variance"}
         else:
-            samples = [(k - summary.mean) / sd
-                       for k, c in summary.histogram.items() for _ in range(c)]
-            fit["ks_normal"] = ks_normal(samples)
+            fit["ks_normal"] = ks_normal([(k - summary.mean) / sd for k in summary.histogram],
+                                         list(summary.histogram.values()))
 
     record = {
         "config": {
@@ -145,7 +148,7 @@ def cmd_simulate(args) -> int:
             "preset": args.preset,
             "preset_note": preset_note, "version": __version__,
         },
-        "summaries": {name: _summary_dict(s) for name, s in summaries.items()},
+        "summaries": {name: _summary_dict(summaries[name]) for name in collect},
         "theory": report.to_dict(),
         "fit": fit,
         "timing": None if args.no_timing else {"seconds": elapsed},

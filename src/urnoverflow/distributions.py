@@ -27,9 +27,6 @@ __all__ = [
     "parse_dist_spec",
 ]
 
-# Custom weights must sum to 1 within this tolerance after normalization.
-NORMALIZATION_TOL = 1e-12
-
 # Generator.random never returns more than this, so it bounds every
 # inverse-CDF index
 _U_MAX = 1.0 - 2.0**-53
@@ -134,8 +131,6 @@ class Custom:
         if not (0.0 < total < math.inf):
             raise ValueError(f"weight sum must be finite and positive, got {total}")
         probs = w / total
-        if abs(probs.sum() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError("normalized weights failed to sum to 1")
         probs.setflags(write=False)
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0

@@ -131,7 +131,8 @@ def _urns(dist: BoxDistribution, n: int, r: int, size: int):
         return ((p[lo:lo + size], mult[lo:lo + size]) for lo in range(0, p.size, size))
     p = dist.success_prob
     log_rho = r * math.log1p(-p)
-    log_tau = math.log(GEOMETRIC_CUTOFF) - math.log(GEOMETRIC_CUTOFF - math.expm1(log_rho))
+    # by log1p: log(CUT) - log(CUT + 1 - rho) rounds to 0 once 1 - rho < ~1e-28
+    log_tau = -math.log1p(-math.expm1(log_rho) / GEOMETRIC_CUTOFF)
     urns = math.floor(log_tau / log_rho) + 1
     if not (urns + 1) * n <= MEAN_BUDGET:
         raise BudgetExceededError(

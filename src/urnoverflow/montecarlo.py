@@ -41,7 +41,6 @@ class ExperimentConfig:
     r: int
     reps: int
     seed: int
-    collect: tuple = ("V", "L", "M")
     identity_checks: bool = False
     threads: int = 1
 
@@ -52,10 +51,6 @@ class ExperimentConfig:
             raise ValueError(f"reps must be <= 2**32, got {self.reps}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        bad = set(self.collect) - {"V", "L", "M"}
-        if bad or not self.collect or len(set(self.collect)) < len(self.collect):
-            raise ValueError(f"collect must be a non-empty subset of V,L,M without "
-                             f"repeats, got {self.collect}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -129,7 +124,7 @@ def _trial_stats(cfg: ExperimentConfig, trial: int) -> tuple[int, int, int]:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run config.reps independent trials; map statistic name -> summary."""
+    """Run config.reps independent trials; map each of V, L, M -> its summary."""
     chunk = -(-config.reps // config.threads)
     spans = [range(lo, min(lo + chunk, config.reps))
              for lo in range(0, config.reps, chunk)]
@@ -146,9 +141,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
             for part in pool.map(count_span, spans):
                 triples += part
-    hists = {name: Counter() for name in config.collect}
+    hists = (Counter(), Counter(), Counter())
     for triple, count in triples.items():
-        for name in config.collect:
-            hists[name][triple["VLM".index(name)]] += count
-    return {name: EmpiricalSummary.from_histogram(hist)
-            for name, hist in hists.items()}
+        for hist, value in zip(hists, triple):
+            hist[value] += count
+    return {name: EmpiricalSummary.from_histogram(hist) for name, hist in zip("VLM", hists)}

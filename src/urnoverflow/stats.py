@@ -122,24 +122,29 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
 
 
-def ks_normal(samples) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against N(0,1).
+def ks_normal(values, counts) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against N(0,1) of the sample
+    that holds counts[i] copies of values[i].
 
     The caller standardizes by the empirical mean and standard deviation.
-    The normal CDF is _normal_cdf, by the standard library's erfc.
+    The normal CDF is _normal_cdf, by the standard library's erfc, once per value.
 
     The statistic assumes continuous samples.  On an integer-valued
     statistic the empirical CDF jumps by each atom's mass where any
     continuous CDF does not, so the value is at least half the largest
     atom, however many samples are drawn.
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
-    if n < 1:
+    x = np.asarray(values, dtype=np.float64)
+    c = np.asarray(counts)
+    if x.ndim != 1 or x.shape != c.shape:
+        raise ValueError(f"values and counts must be 1-d of one shape, got {x.shape}, {c.shape}")
+    if np.any(c < 0):
+        raise ValueError("counts must be >= 0")
+    order = np.argsort(x)
+    cum = np.cumsum(c[order])
+    if cum.size < 1 or cum[-1] < 1:
         raise ValueError("need at least one sample")
-    cdf = _normal_cdf(x)
-    i = np.arange(1, n + 1)
-    d_plus = (i / n - cdf).max()
-    d_minus = (cdf - (i - 1) / n).max()
+    cdf = _normal_cdf(x[order])
+    d_plus = (cum / cum[-1] - cdf).max()
+    d_minus = (cdf - (cum - c[order]) / cum[-1]).max()
     return float(max(d_plus, d_minus))
-

@@ -55,18 +55,17 @@ def _lattice_ks_normal(summary):
 
 
 def _continuous_ks_normal(summary):
-    """``ks_normal`` on the standardized samples, and its half-atom floor."""
-    samples = np.repeat(np.fromiter(summary.histogram.keys(), dtype=float),
-                        np.fromiter(summary.histogram.values(), dtype=int))
-    ks = ks_normal((samples - summary.mean) / math.sqrt(summary.variance))
+    """``ks_normal`` on the standardized histogram, and its half-atom floor."""
+    values = np.fromiter(summary.histogram, dtype=float)
+    ks = ks_normal((values - summary.mean) / math.sqrt(summary.variance),
+                   list(summary.histogram.values()))
     return ks, 0.5 * max(summary.histogram.values()) / summary.reps
 
 
 @pytest.fixture(scope="session")
 def fig3_run():
     # criterion 8 configuration, shared by criteria 5, 8 and 11
-    cfg = ExperimentConfig(dist=Uniform(25_118), n=10_000, r=2, reps=10_000,
-                           seed=20260823, collect=("V",))
+    cfg = ExperimentConfig(dist=Uniform(25_118), n=10_000, r=2, reps=10_000, seed=20260823)
     t0 = time.time()
     summary = run_experiment(cfg)["V"]
     return summary, time.time() - t0
@@ -177,8 +176,7 @@ def test_criterion_05_variance_upper_bound(fig3_run):
 
 def test_criterion_06_poisson_uniform():
     t0 = time.time()
-    cfg = ExperimentConfig(dist=Uniform(333_333), n=10_000, r=2, reps=10_000,
-                           seed=6, collect=("V",))
+    cfg = ExperimentConfig(dist=Uniform(333_333), n=10_000, r=2, reps=10_000, seed=6)
     v = run_experiment(cfg)["V"]
     mu = regime_report(cfg.dist, cfg.n, cfg.r).mu
     tv = tv_distance_poisson(v, 1.5)
@@ -203,7 +201,7 @@ def test_criterion_07_poisson_geometric():
     t0 = time.time()
     n = 100_000
     cfg = ExperimentConfig(dist=Geometric(6.0 * n ** (-4.0 / 3.0)), n=n, r=3,
-                           reps=10_000, seed=7, collect=("V",))
+                           reps=10_000, seed=7)
     v = run_experiment(cfg)["V"]
     mu_limit = regime_report(cfg.dist, cfg.n, cfg.r).mu
     tv = tv_distance_poisson(v, CRITERION_07_MEAN)
@@ -231,8 +229,7 @@ def test_criterion_08_normal_uniform(fig3_run):
 
 def test_criterion_09_normal_geometric():
     t0 = time.time()
-    cfg = ExperimentConfig(dist=Geometric(1e-4), n=10_000, r=4, reps=10_000,
-                           seed=9, collect=("V",))
+    cfg = ExperimentConfig(dist=Geometric(1e-4), n=10_000, r=4, reps=10_000, seed=9)
     v = run_experiment(cfg)["V"]
     sd = math.sqrt(v.variance)
     ks = _lattice_ks_normal(v)
@@ -249,8 +246,7 @@ def test_criterion_09_normal_geometric():
 def test_criterion_10_full_container_poisson_laws():
     t0 = time.time()
     n = 10_000
-    cfg = ExperimentConfig(dist=Uniform(n * n // 2), n=n, r=2, reps=10_000,
-                           seed=10, collect=("V", "L", "M"))
+    cfg = ExperimentConfig(dist=Uniform(n * n // 2), n=n, r=2, reps=10_000, seed=10)
     out = run_experiment(cfg)
     tv_l = tv_distance_poisson(out["L"], 1.0)
     tv_m = tv_distance_poisson(out["M"], 1.0)

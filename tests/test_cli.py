@@ -68,6 +68,30 @@ def test_simulate_repeated_collect_is_usage_error(capsys):
     assert "repeats" in err
 
 
+@pytest.mark.parametrize("collect, shown", [("x", "('X',)"), (",", "('', '')")])
+def test_simulate_unknown_or_empty_collect_is_usage_error(collect, shown, capsys):
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=5", "--balls", "5",
+                              "--capacity", "2", "--reps", "3", "--seed", "1",
+                              "--collect", collect], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: collect must be a non-empty subset of V,L,M without "
+                   f"repeats, got {shown}\n")
+
+
+@pytest.mark.parametrize("collect, stat, ks", [("v,l,m", "V", 0.0425099871836907),
+                                               ("m,v", "M", 0.03260457846224485)])
+def test_simulate_gof_normal_pins_the_ks_statistic(collect, stat, ks, capsys):
+    code, out, _ = run_cli(["simulate", "--dist", "uniform:m=25118", "--balls", "10000",
+                            "--capacity", "2", "--reps", "1000", "--seed", "20190516",
+                            "--collect", collect, "--gof", "normal", "--no-timing"],
+                           capsys)
+    assert code == 0
+    fit = json.loads(out)["fit"]
+    assert fit["law"]["statistic"] == stat
+    assert fit["ks_normal"] == ks
+
+
 @pytest.mark.parametrize("balls", ["-5", "0"])
 def test_predict_without_balls_is_usage_error(balls, capsys):
     code, out, err = run_cli(["predict", "--dist", "uniform:m=10", "--balls", balls,
@@ -415,6 +439,18 @@ def test_simulate_gof_poisson_refuses_a_table_beyond_1e7_terms(capsys):
     assert code == 2
     assert out == ""
     assert "mu = 5000000000.0" in err and "Traceback" not in err
+
+
+def test_simulate_gof_poisson_refuses_the_table_before_any_trial(capsys, monkeypatch):
+    def no_trials(config):
+        raise AssertionError("trials ran before the Poisson table was refused")
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=2", "--balls", "20000",
+                              "--capacity", "1", "--reps", "20000", "--seed", "1",
+                              "--gof", "poisson"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "the Poisson table for mu = " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("stat", ["l", "m"])

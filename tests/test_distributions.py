@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from urnoverflow.distributions import Custom, Geometric, Uniform, parse_dist_spec
@@ -223,6 +223,18 @@ def test_custom_sandwich_property(weights, r):
     m = d.power_moment(r)
     assert ps ** (r + 1) <= m + 1e-12
     assert m <= ps**r + 1e-12
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(5e-324, 1e308), min_size=1, max_size=60))
+@example([1e-300, 1e308]).via("mixed scales")
+@example([5e-324] * 3).via("subnormal")
+@example([8.9e307, 8.9e307]).via("near overflow")
+def test_custom_normalized_weights_sum_to_one(weights):
+    # finite positive weights with a finite sum normalize to within ulps of 1
+    with np.errstate(over="ignore"):
+        assume(math.isfinite(np.asarray(weights).sum()))
+    assert abs(Custom(weights).probs.sum() - 1.0) <= 1e-12
 
 
 def test_parse_specs(tmp_path):

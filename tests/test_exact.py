@@ -275,6 +275,15 @@ def test_mean_budget_raises():
         exact_mean_overflow(Uniform(10**7), 10**4, 2)
 
 
+@pytest.mark.parametrize("p", [1e-31, 1e-29])
+@pytest.mark.parametrize("route", [exact_mean_overflow, exact_mean_via_counts])
+def test_geometric_truncation_at_tiny_p_is_refused(route, p):
+    # r p below about 1e-28: the truncation needs about 1e-14 / (r p) urns,
+    # far past the budget, and must not round down to a single urn
+    with pytest.raises(BudgetExceededError):
+        route(Geometric(p), 10, 1)
+
+
 def test_exact_distribution_examples():
     d = exact_distribution(Uniform(2), 4, 1)
     assert d.pmf[2] == pytest.approx(7 / 8, abs=1e-12)

@@ -28,8 +28,7 @@ def test_deterministic_single_urn():
 
 
 def test_matches_exact_distribution():
-    cfg = ExperimentConfig(dist=Uniform(2), n=4, r=1, reps=10**5, seed=99,
-                           collect=("V",))
+    cfg = ExperimentConfig(dist=Uniform(2), n=4, r=1, reps=10**5, seed=99)
     hist = run_experiment(cfg)["V"].histogram
     oracle = exact_distribution(Uniform(2), 4, 1).pmf
     for v, p in oracle.items():
@@ -181,10 +180,6 @@ def test_identity_checks_run_clean():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(dist=Uniform(2), n=0, r=1, reps=1, seed=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=0, collect=("X",))
-    with pytest.raises(ValueError, match="repeats"):
-        ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=0, collect=("V", "V"))
     with pytest.raises(ValueError):
         ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=2**64)
 

@@ -137,23 +137,50 @@ def test_ks_quantile_construction():
     from scipy.stats import norm
     n = 10**4
     samples = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
-    assert ks_normal(samples) < 0.001
+    assert ks_normal(samples, np.ones(n)) < 0.001
 
 
 def test_ks_normal_draws_band():
     rng = np.random.default_rng(8)
     # 1.63/sqrt(N) is the 1% critical value; a single run sits below it whp
-    assert ks_normal(rng.standard_normal(10**4)) < 0.022
+    assert ks_normal(rng.standard_normal(10**4), np.ones(10**4)) < 0.022
 
 
 def test_ks_constant_samples():
-    assert ks_normal(np.zeros(500)) >= 0.5
+    assert ks_normal(np.zeros(500), np.ones(500)) >= 0.5
 
 
 def test_ks_invariant_under_duplication():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(400)
-    assert ks_normal(x) == pytest.approx(ks_normal(np.concatenate([x, x])), abs=1e-12)
+    assert ks_normal(x, np.ones(400)) == pytest.approx(
+        ks_normal(np.concatenate([x, x]), np.ones(800)), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ks_normal_reads_any_form_of_one_histogram(seed):
+    # unsorted and repeated values and zero counts give the statistic of the
+    # sorted distinct values that have positive counts
+    rng = np.random.default_rng(seed)
+    values = (rng.poisson(3.0, 40) - 3.0) / math.sqrt(3.0)
+    counts = rng.integers(0, 50, 40)
+    counts[0] = 1
+    distinct, where = np.unique(values, return_inverse=True)
+    merged = np.bincount(where, weights=counts)
+    kept = merged > 0
+    assert ks_normal(values, counts) == ks_normal(distinct[kept], merged[kept])
+
+
+@pytest.mark.parametrize("values, counts, message", [
+    ([0.0, 1.0], [1], "one shape"),
+    ([[0.0]], [[1]], "1-d"),
+    ([0.0, 1.0], [2, -1], ">= 0"),
+    ([0.0], [0], "at least one sample"),
+    ([], [], "at least one sample"),
+])
+def test_ks_normal_refuses_bad_histograms(values, counts, message):
+    with pytest.raises(ValueError, match=message):
+        ks_normal(values, counts)
 
 
 def test_normal_cdf_matches_ndtr():
@@ -162,12 +189,12 @@ def test_normal_cdf_matches_ndtr():
 
 
 def test_ks_normal_matches_ndtr_statistic_on_fig3():
-    cfg = ExperimentConfig(dist=Uniform(25_118), n=10_000, r=2, reps=1_000,
-                           seed=20260823, collect=("V",))
+    cfg = ExperimentConfig(dist=Uniform(25_118), n=10_000, r=2, reps=1_000, seed=20260823)
     s = run_experiment(cfg)["V"]
-    v = np.repeat(np.fromiter(s.histogram.keys(), dtype=float),
-                  np.fromiter(s.histogram.values(), dtype=int))
-    x = np.sort((v - s.mean) / math.sqrt(s.variance))
+    values = (np.fromiter(s.histogram, dtype=float) - s.mean) / math.sqrt(s.variance)
+    counts = np.fromiter(s.histogram.values(), dtype=int)
+    # the reference expands the histogram into one sample per replication
+    x = np.sort(np.repeat(values, counts))
     cdf, i = ndtr(x), np.arange(1, x.size + 1)
     reference = max((i / x.size - cdf).max(), (cdf - (i - 1) / x.size).max())
-    assert ks_normal(x) == pytest.approx(reference, abs=1e-15)
+    assert ks_normal(values, counts) == pytest.approx(reference, abs=1e-15)
