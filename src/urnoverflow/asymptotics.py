@@ -89,9 +89,11 @@ def regime_report(dist: BoxDistribution, n: int, r: int) -> RegimeReport:
 
 
 def poisson_pmf(mu: float, k: int) -> float:
-    """e^(-mu) mu^k / k!, evaluated in log space."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    """e^(-mu) mu^k / k!, evaluated in log space; Pois(0) is the point mass at 0."""
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
     if k < 0:
         return 0.0
+    if mu == 0.0:
+        return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))

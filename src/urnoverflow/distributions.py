@@ -9,7 +9,8 @@ Only the finite laws list their urn masses (``support_size``,
 
 Urn indices are 0-based everywhere.  Every sampler returns a fresh array that
 the caller owns (the trial loop sorts it in place), as int32 whenever the
-largest index the sampler can return fits, else int64.
+largest index the sampler can return fits, else int64; a geometric law too
+thin for int64 gives its integer-valued indices as float64.
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ class Uniform:
         return float(self.urn_count) ** (-r)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size urn indices, a fresh array the caller owns."""
+        """size urn indices, a fresh array the caller owns: the keys of
+        ``rng.integers(0, m, size)``, with rng left in the state it leaves."""
+        # up to 2**21 urns every product x * m a 32-bit draw forms is exact in float64
+        bits = rng.bit_generator
+        if (type(bits) is np.random.PCG64 and 1 < self.urn_count <= 2**21
+                and size >= 1 and not bits.state["has_uint32"]):
+            return _pcg64_keys(bits, self.urn_count, size)
         # int32 and int64 draws below 2**32 share numpy's 32-bit sampler, so
         # int32 gives the same values and the kernel sorts them without a cast
         dtype = np.int32 if self.urn_count <= 2**31 else np.int64
@@ -104,15 +111,24 @@ class Geometric:
         """size urn indices, a fresh array the caller owns."""
         # exact inverse-CDF: CDF(j) = 1 - (1-p)^(j+1), never truncated, in place on u
         log_q = math.log1p(-self.success_prob)
+        # the largest reachable index, from u = _U_MAX; within a factor 2 of
+        # the float range's end a quotient could round to infinity
+        top = math.log1p(-_U_MAX) / log_q
+        if top >= 2.0**1023:
+            raise ValueError(f"geometric urn indices for p = {self.success_prob!r} "
+                             "exceed the float range")
         u = rng.random(size)
         np.negative(u, out=u)
         np.log1p(u, out=u)
         u /= log_q
+        if top >= 2.0**62:
+            # indices within a factor 2 of int64's end (p below about 8e-18)
+            # stay float64 floors, which compare equal exactly when they do
+            return np.floor(u, out=u)
         # the quotients are >= +0, so the cast's truncation is their floor; to
-        # int32 when the largest reachable index (from u = _U_MAX) fits with
-        # one index to spare for libm rounding; the switch sits near p = 1.7e-8
-        top = math.floor(math.log1p(-_U_MAX) / log_q)
-        return u.astype(np.int32 if top < 2**31 - 1 else np.int64)
+        # int32 when the largest index fits with one index to spare for libm
+        # rounding; the switch sits near p = 1.7e-8
+        return u.astype(np.int32 if math.floor(top) < 2**31 - 1 else np.int64)
 
 
 class Custom:
@@ -184,6 +200,43 @@ class Custom:
 
 
 BoxDistribution = Uniform | Geometric | Custom
+
+
+def _pcg64_halves(bits: np.random.PCG64, words: int) -> np.ndarray:
+    # each raw word's low half, then its high half: numpy's next_uint32 order
+    return bits.random_raw(words).astype("<u8", copy=False).view("<u4")
+
+
+def _pcg64_keys(bits: np.random.PCG64, m: int, size: int) -> np.ndarray:
+    """numpy's bounded 32-bit draw (Lemire's multiply-and-reject) of size keys
+    below m, over the same PCG64 words in one vector pass.
+
+    A 32-bit x is rejected when (x * m) mod 2**32 < 2**32 mod m, and each
+    redraw takes the next half word, so the keys are the accepted halves in
+    stream order, each floor(x * m / 2**32).  The bit generator must hold no
+    buffered half word; an unused high half is left buffered as numpy does.
+    """
+    m32 = np.uint32(m)
+    threshold = 2**32 % m
+    halves = _pcg64_halves(bits, (size + 1) // 2)
+    x, spare = halves[:size], halves[size:]
+    if (x * m32).min() < threshold:
+        # rare: top up with exactly the halves still owed, never more
+        kept = [x[x * m32 >= threshold]]
+        owed = size - kept[0].size
+        while owed:
+            more = np.concatenate([spare, _pcg64_halves(bits, (owed - spare.size + 1) // 2)])
+            x, spare = more[:owed], more[owed:]
+            kept.append(x[x * m32 >= threshold])
+            owed -= kept[-1].size
+        x = np.concatenate(kept)
+    if spare.size:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = 1, int(spare[0])
+        bits.state = state
+    # x * m < 2**53 and m * 2**-32 is exact, so the float product is exact
+    # and the cast's truncation is floor(x * m / 2**32)
+    return (x * (m * 2.0**-32)).astype(np.int32)
 
 
 def _check_moment_order(r):

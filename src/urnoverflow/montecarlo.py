@@ -5,12 +5,15 @@ Trial i draws from PCG64 seeded exactly as by
 derivation: the stream depends only on (seed, i), never on which trials ran
 before or on which thread.  The SeedSequence hash is computed for a block of
 1,024 trials in one numpy pass and gives the same words bit for bit, so only
-seeding PCG64 itself is left per trial.  Every run splits the trials into
-spans, counts each span's (V, L, M) triples (a single span on the calling
-thread, several on a thread pool) and merges the counts, an
-order-insensitive integer sum, so results are bit-identical for any thread
-count.  With identity_checks, the count route confirms each trial's (V, L, M)
-on its sorted draw (``allocation.count_draw``).
+seeding PCG64 itself is left per trial.  A uniform law draws its keys from
+PCG64's raw words in one vector pass (``distributions.Uniform.sample``)
+that gives the keys and generator state of ``Generator.integers``, so the
+trial streams and histograms are those of numpy's own draw.  Every run
+splits the trials into spans, counts each span's (V, L, M) triples (a
+single span on the calling thread, several on a thread pool) and merges
+the counts, an order-insensitive integer sum, so results are bit-identical
+for any thread count.  With identity_checks, the count route confirms each
+trial's (V, L, M) on its sorted draw (``allocation.count_draw``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ class ExperimentConfig:
             raise ValueError("n, r and reps must all be >= 1")
         if self.reps > MAX_TRIALS:
             raise ValueError(f"reps must be <= 2**32, got {self.reps}")
-        if not 0 <= int(self.seed) < 2**64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")

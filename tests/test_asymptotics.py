@@ -63,8 +63,16 @@ def test_poisson_pmf_examples():
     assert poisson_pmf(2.25, 2) == pytest.approx(math.exp(-2.25) * 2.25**2 / 2, abs=1e-12)
     total = sum(poisson_pmf(3.7, k) for k in range(200))
     assert total == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        poisson_pmf(0.0, 1)
+    # Pois(0) is the point mass at 0, the law of a statistic that is always 0
+    assert poisson_pmf(0.0, 0) == 1.0
+    assert poisson_pmf(0.0, 1) == 0.0
+    assert poisson_pmf(0.0, -1) == 0.0
+
+
+@pytest.mark.parametrize("mu", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+def test_poisson_pmf_refuses_a_mean_that_is_no_poisson_law(mu):
+    with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+        poisson_pmf(mu, 0)
 
 
 @pytest.mark.parametrize("mu, k", [(1.5, -1), (2.25, -3), (1e6, -1)])

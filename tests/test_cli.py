@@ -111,6 +111,23 @@ def test_simulate_gof_poisson_fit_block(capsys):
     assert record["theory"]["mu"] == pytest.approx(100**2 / (2 * 2000))
 
 
+def test_simulate_fits_pois_0_when_mu_underflows(capsys):
+    # mu underflows to 0 and no two of the 10 balls share an urn, so every
+    # trial has V = 0: Pois(0), the point mass at 0, fits it exactly
+    args = ["simulate", "--dist", "geometric:p=1e-300", "--balls", "10", "--capacity", "1",
+            "--reps", "3", "--seed", "1", "--gof", "poisson"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["theory"]["mu"] == 0.0
+    assert record["summaries"]["V"]["histogram"] == {"0": 3}
+    assert record["fit"]["tv_poisson"] == 0.0
+    assert record["fit"]["chi_square"] == {"error": "need at least 50 replications"}
+    code, out, err = run_cli(args + ["--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "value,count,empirical_prob,theory_prob\n0,3,1.0,1.0\n"
+
+
 def test_csv_and_json_encode_identical_histograms(capsys):
     args = ["simulate", "--dist", "uniform:m=4", "--balls", "12", "--capacity", "2",
             "--reps", "500", "--seed", "21", "--gof", "poisson"]

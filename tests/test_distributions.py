@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from urnoverflow import distributions
 from urnoverflow.distributions import Custom, Geometric, Uniform, parse_dist_spec
+from urnoverflow.montecarlo import trial_rng
 
 from oracles import support_masses
 
@@ -115,6 +117,68 @@ def test_uniform_sample_is_the_int64_draw(m, dtype, seed):
     assert got.dtype == dtype
     assert expected.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
+
+
+def _assert_same_pcg64(ours, numpys):
+    a, b = ours.bit_generator.state, numpys.bit_generator.state
+    assert a["state"] == b["state"]
+    assert a["has_uint32"] == b["has_uint32"]
+    if a["has_uint32"]:     # with no half word buffered, numpy leaves a stale one
+        assert a["uinteger"] == b["uinteger"]
+    np.testing.assert_array_equal(ours.integers(0, 1000, 5), numpys.integers(0, 1000, 5))
+    assert ours.random() == numpys.random()
+
+
+@pytest.mark.parametrize("m", [2, 3, 25_118, 2**21 - 1, 2**21, 2**21 + 1, 2**31 + 1])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 10_000, 100_001])
+@pytest.mark.parametrize("halves_before", [0, 1, 2], ids=["fresh", "odd", "even"])
+def test_uniform_sample_is_the_integers_draw(m, size, halves_before):
+    # the keys, dtype and PCG64 state of Generator.integers, on a fresh trial
+    # stream and after an odd or an even number of 32-bit draws
+    ours, numpys = trial_rng(11, 3), trial_rng(11, 3)
+    for rng in (ours, numpys):
+        rng.integers(0, 2**32, halves_before, dtype=np.uint32)
+    assert ours.bit_generator.state["has_uint32"] == halves_before % 2
+    got = Uniform(m).sample(ours, size)
+    want = numpys.integers(0, m, size, dtype=np.int32 if m <= 2**31 else np.int64)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    _assert_same_pcg64(ours, numpys)
+
+
+@pytest.mark.parametrize("trial, size", [(21, 100_000), (21, 100_001),
+                                         (107, 100_000), (107, 100_001)])
+def test_uniform_sample_tops_up_redraws_as_integers_does(trial, size, monkeypatch):
+    # 2**32 mod m is close to m here, so about 1 half in 2,050 is redrawn; on
+    # these streams a redraw is itself redrawn, and on two of them a top-up
+    # takes only the half left over from the last word
+    m = 2_096_129
+    words = []
+    halves = distributions._pcg64_halves
+    monkeypatch.setattr(distributions, "_pcg64_halves",
+                        lambda bits, n: words.append(n) or halves(bits, n))
+    ours, numpys = trial_rng(7, trial), trial_rng(7, trial)
+    got = Uniform(m).sample(ours, size)
+    np.testing.assert_array_equal(got, numpys.integers(0, m, size, dtype=np.int32))
+    _assert_same_pcg64(ours, numpys)
+    assert len(words) >= 3
+
+
+def test_uniform_sample_on_another_bit_generator_is_numpys_draw():
+    ours, numpys = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+    got = Uniform(25_118).sample(ours, 10_001)
+    np.testing.assert_array_equal(got, numpys.integers(0, 25_118, 10_001, dtype=np.int32))
+    assert ours.random() == numpys.random()
+
+
+def test_geometric_sample_beyond_int64_gives_float_keys():
+    # at p = 1e-300 the indices pass 2**63, and no two of 1,000 balls share an urn
+    keys = Geometric(1e-300).sample(np.random.default_rng(3), 1000)
+    assert keys.dtype == np.float64
+    np.testing.assert_array_equal(keys, np.floor(keys))
+    assert np.unique(keys).size == 1000
+    with pytest.raises(ValueError, match="exceed the float range"):
+        Geometric(1e-310).sample(np.random.default_rng(3), 1000)
 
 
 @pytest.mark.parametrize("weights", [[3, 2, 1], [4, 3, 2, 1], [0.1] * 7 + [1e-300],

@@ -184,6 +184,19 @@ def test_config_validation():
         ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=2**64)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_config_refuses_a_seed_that_is_no_integer(seed):
+    # refused on construction, not as a TypeError from every trial's stream
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=seed)
+
+
+def test_config_takes_a_numpy_integer_seed():
+    cfg = ExperimentConfig(dist=Uniform(5), n=9, r=1, reps=20, seed=np.uint64(2**64 - 1))
+    assert run_experiment(cfg) == run_experiment(
+        ExperimentConfig(dist=Uniform(5), n=9, r=1, reps=20, seed=2**64 - 1))
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_config_refuses_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
