@@ -10,6 +10,5 @@ from urnoverflow import Uniform, regime_report
 n, r = 10_000, 2
 for m in (10_000, 25_118, 100_000, 333_333, 2_000_000):
     rep = regime_report(Uniform(m), n, r)
-    mu = f"{rep.mu:.3f}" if rep.mu is not None else "   --"
     print(f"m = {m:>9,}: scaled moment {rep.scaled_moment:>12.2f}  "
-          f"n*p* {rep.n_p_star:.4f}  mu {mu}  -> {rep.classification}")
+          f"n*p* {rep.n_p_star:.4f}  mu {rep.mu:.3f}  -> {rep.classification}")

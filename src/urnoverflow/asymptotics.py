@@ -62,6 +62,9 @@ def regime_report(dist: BoxDistribution, n: int, r: int) -> RegimeReport:
     nps = n * dist.p_star()
     pm = dist.power_moment(r)
     try:
+        # from r = 170 on (r+1)! passes the float range: skip building it to find out
+        if r >= 170:
+            raise OverflowError
         scaled = float(n) ** (r + 1) * pm
         mu = scaled / math.factorial(r + 1)
         var_upper = scaled / math.factorial(r)

@@ -9,8 +9,8 @@ Only the finite laws list their urn masses (``support_size``,
 
 Urn indices are 0-based everywhere.  Every sampler returns a fresh array that
 the caller owns (the trial loop sorts it in place), as int32 whenever the
-largest index the sampler can return fits, else int64; a geometric law too
-thin for int64 gives its integer-valued indices as float64.
+largest index the sampler can return fits.  Beyond that a finite law gives
+int64, and a geometric law gives its indices as integer-valued float64.
 """
 
 from __future__ import annotations
@@ -121,14 +121,12 @@ class Geometric:
         np.negative(u, out=u)
         np.log1p(u, out=u)
         u /= log_q
-        if top >= 2.0**62:
-            # indices within a factor 2 of int64's end (p below about 8e-18)
-            # stay float64 floors, which compare equal exactly when they do
-            return np.floor(u, out=u)
-        # the quotients are >= +0, so the cast's truncation is their floor; to
-        # int32 when the largest index fits with one index to spare for libm
-        # rounding; the switch sits near p = 1.7e-8
-        return u.astype(np.int32 if math.floor(top) < 2**31 - 1 else np.int64)
+        if math.floor(top) < 2**31 - 1:
+            # the largest index fits with one to spare for libm rounding (p above
+            # about 1.7e-8); the cast truncates the quotients, all >= +0, to floors
+            return u.astype(np.int32)
+        # float64 floors compare equal exactly when integer floors would
+        return np.floor(u, out=u)
 
 
 class Custom:

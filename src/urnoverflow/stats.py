@@ -59,7 +59,9 @@ def _poisson_terms(mu: float) -> tuple[np.ndarray, float]:
     bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
     if bound >= 10_000_000:
         raise ValueError(f"the Poisson table for mu = {mu!r} needs more than 10^7 terms")
-    pmf, cum = [], 0.0
+    # by Chernoff, P(K = k) <= exp(-(mu - k)^2 / 2 mu), under e^-800 below
+    # mu - 40 sqrt(mu), where math.exp already gives 0.0: those terms go in as zeros
+    pmf, cum = [0.0] * max(0, math.ceil(mu - 40.0 * math.sqrt(mu))), 0.0
     while cum < 1.0 - POISSON_TAIL_TOL and len(pmf) <= bound:
         pmf.append(poisson_pmf(mu, len(pmf)))
         cum += pmf[-1]
@@ -85,7 +87,8 @@ def tv_distance_poisson(summary: EmpiricalSummary, mu: float) -> float:
     if summary.reps < 1:
         raise ValueError("need at least one replication")
     observed, theory, tail = _poisson_table(summary, mu)
-    return 0.5 * (np.abs(observed / summary.reps - theory).sum() + tail)
+    # rounding can carry the sum past 1, which no distance exceeds
+    return min(0.5 * (np.abs(observed / summary.reps - theory).sum() + tail), 1.0)
 
 
 def chi_square_poisson(summary: EmpiricalSummary, mu: float) -> tuple[float, int]:
@@ -96,10 +99,12 @@ def chi_square_poisson(summary: EmpiricalSummary, mu: float) -> tuple[float, int
     observed, theory, tail = _poisson_table(summary, mu)
     expected = np.append(theory * summary.reps, tail * summary.reps)  # open right tail cell
     observed = np.append(observed, 0.0)
-    # pool from the right
+    # pool from the right over the cells that hold mass: an empty cell adds
+    # +0.0 to both sums and never closes a cell
+    held = (expected > 0.0) | (observed > 0.0)
     cells_exp, cells_obs = [], []
     acc_e = acc_o = 0.0
-    for e, o in zip(expected[::-1], observed[::-1]):
+    for e, o in zip(expected[held][::-1], observed[held][::-1]):
         acc_e += e
         acc_o += o
         if acc_e >= 5.0:

@@ -170,3 +170,34 @@ def loop_overflow_pmf(probs, n, r):
         v = int(n - np.minimum(c, r).sum())
         pmf[v] = pmf.get(v, 0.0) + w
     return pmf
+
+
+def poisson_table_by_term(mu, tol, bound):
+    """(Pois(mu) pmf on 0..K, its summed mass), one e^(k log mu - mu - lgamma(k+1))
+    term at a time from k = 0, until the mass reaches 1 - tol or K = bound."""
+    pmf, cum = [], 0.0
+    while cum < 1.0 - tol and len(pmf) <= bound:
+        k = len(pmf)
+        pmf.append(math.exp(k * math.log(mu) - mu - math.lgamma(k + 1)))
+        cum += pmf[-1]
+    return np.array(pmf), cum
+
+
+def pooled_chi_square(observed, expected):
+    """(Pearson chi-square, degrees of freedom) with cells pooled right to left
+    over the full arrays until each expected count is >= 5; a remainder with
+    expected mass joins the last cell."""
+    cells_exp, cells_obs = [], []
+    acc_e = acc_o = 0.0
+    for e, o in zip(expected[::-1], observed[::-1]):
+        acc_e += e
+        acc_o += o
+        if acc_e >= 5.0:
+            cells_exp.append(acc_e)
+            cells_obs.append(acc_o)
+            acc_e = acc_o = 0.0
+    if cells_exp and acc_e > 0:
+        cells_exp[-1] += acc_e
+        cells_obs[-1] += acc_o
+    e, o = np.array(cells_exp), np.array(cells_obs)
+    return float(((o - e) ** 2 / e).sum()), len(cells_exp) - 1

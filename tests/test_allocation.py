@@ -180,7 +180,7 @@ def test_outcome_invariants_randomized():
 
 @pytest.mark.parametrize("dist, keys", [
     (Uniform(25_118), np.int32), (Geometric(1e-4), np.int32),
-    (Geometric(1e-9), np.int64), (Custom([3, 2, 1] * 50), np.int32),
+    (Geometric(1e-9), np.float64), (Custom([3, 2, 1] * 50), np.int32),
 ])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_run_trial_is_the_kernel_on_the_same_draw(dist, keys, r):

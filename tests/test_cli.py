@@ -310,6 +310,31 @@ def test_regime_report_beyond_float_range(command, dist, capacity, code, capsys)
         assert theory["mu"] == 0.0
 
 
+_ONE_BALL_THEORY = {"classification": "Indeterminate", "mu": 0.0, "scaled_moment": 1.0,
+                    "n_p_star": 1.0, "var_lower_asymptotic": 0.0, "var_upper": 0.0}
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["predict", "--dist", "uniform:m=1", "--balls", "1", "--capacity", "1000000"],
+     _ONE_BALL_THEORY),
+    (["exact", "--dist", "uniform:m=7", "--balls", "1", "--capacity", "1000000",
+      "--no-timing"],
+     {"config": {"balls": 1, "capacity": 1000000, "dist": "uniform:m=7",
+                 "version": urnoverflow.__version__},
+      "exact_mean_overflow": 0.0, "exact_mean_via_counts": 0.0,
+      "theory": {**_ONE_BALL_THEORY, "n_p_star": 1 / 7, "scaled_moment": 0.0},
+      "timing": None}),
+])
+def test_regime_report_on_one_ball_at_a_large_capacity(argv, record, capsys):
+    # one ball never overflows n^(r+1), so the capacity alone must send the
+    # report to logs before (r+1)! is built: r = 1e6 took 11-12 s that way
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(argv, capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
 def test_predict_fig3_normal_candidate(capsys):
     code, out, _ = run_cli(["predict", "--dist", "uniform:m=25118", "--balls",
                             "10000", "--capacity", "2"], capsys)
@@ -444,6 +469,20 @@ def test_simulate_gof_poisson_at_a_large_mu(capsys):
     assert fit["law"]["mu"] == pytest.approx(5611.48, rel=1e-6)
     assert fit["chi_square"]["statistic"] > 0.0
     assert 0.0 <= fit["tv_poisson"] <= 1.0 + 1e-12
+
+
+def test_simulate_gof_poisson_at_mu_1e6(capsys):
+    # every trial gives V = 9,950, far left of the table's 50,195 nonzero
+    # terms, and the summed terms put the TV at 1 + 2.2e-15 unclamped
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["simulate", "--dist", "uniform:m=50", "--balls", "10000",
+                            "--capacity", "1", "--reps", "50", "--seed", "1",
+                            "--gof", "poisson", "--no-timing"], capsys)
+    assert time.perf_counter() - t0 < 0.6
+    assert code == 0
+    fit = json.loads(out)["fit"]
+    assert fit["law"]["mu"] == 1e6
+    assert fit["tv_poisson"] == 1.0
 
 
 def test_simulate_gof_poisson_refuses_a_table_beyond_1e7_terms(capsys):

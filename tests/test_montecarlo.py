@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -254,7 +256,7 @@ def test_pinned_histograms(dist, n, r, reps, checks, digest):
 
 @pytest.mark.parametrize("dist,dtype", [(Uniform(25_118), np.int32),
                                         (Geometric(FIG2_P), np.int32),
-                                        (Geometric(1e-9), np.int64),
+                                        (Geometric(1e-9), np.float64),
                                         (Custom([3, 2, 1] * 50), np.int32)])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_in_place_trial_equals_the_copying_kernel(dist, dtype, r):
@@ -265,6 +267,27 @@ def test_in_place_trial_equals_the_copying_kernel(dist, dtype, r):
         assert balls.dtype == dtype
         assert _trial_stats(cfg, trial) == overflow_stats(balls, r)
         np.testing.assert_array_equal(balls, before)
+
+
+@pytest.mark.parametrize("p", [1e-9, 1e-12, 1e-16])
+@pytest.mark.parametrize("r", [1, 2])
+def test_float_geometric_keys_count_as_their_int64_floors(p, r):
+    # past int32's reach the keys are float64 floors: every trial of a checked
+    # run gives the (V, L, M) of the int64 cast of the same quotients
+    cfg = ExperimentConfig(dist=Geometric(p), n=100_000, r=r, reps=8, seed=5,
+                           identity_checks=True)
+    triples = []
+    for trial in range(cfg.reps):
+        keys = cfg.dist.sample(trial_rng(cfg.seed, trial), cfg.n)
+        u = trial_rng(cfg.seed, trial).random(cfg.n)
+        floors = (np.log1p(-u) / math.log1p(-p)).astype(np.int64)
+        assert keys.dtype == np.float64
+        np.testing.assert_array_equal(keys.astype(np.int64), floors)
+        triples.append(overflow_stats(floors, r))
+        assert _trial_stats(cfg, trial) == triples[-1]
+    out = run_experiment(cfg)
+    for i, name in enumerate("VLM"):
+        assert out[name].histogram == dict(Counter(t[i] for t in triples))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux-only")

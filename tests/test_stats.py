@@ -14,6 +14,8 @@ from urnoverflow.montecarlo import ExperimentConfig, run_experiment
 from urnoverflow.stats import (EmpiricalSummary, _normal_cdf, _poisson_table,
                                chi_square_poisson, ks_normal, tv_distance_poisson)
 
+from oracles import poisson_table_by_term, pooled_chi_square
+
 
 def _poisson_histogram(mu, reps, kmax=60):
     # counts proportional to the truncated pmf (largest remainder not needed
@@ -92,6 +94,43 @@ def test_poisson_table_stops_at_its_bound(mu):
     assert 0.0 <= tv_distance_poisson(s, mu) <= 1.0 + 1e-12
     statistic, dof = chi_square_poisson(s, mu)
     assert statistic > 0.0 and dof >= 1
+
+
+@pytest.mark.parametrize("mu", [2.25, 5611.483339505966, 1e5])
+def test_poisson_table_is_the_term_by_term_table(mu):
+    # the terms below mu - 40 sqrt(mu) go in as zeros without a call each
+    bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
+    want, want_cum = poisson_table_by_term(mu, stats.POISSON_TAIL_TOL, bound)
+    pmf, cum = stats._poisson_terms(mu)
+    assert pmf.dtype == want.dtype and pmf.tobytes() == want.tobytes()
+    assert cum == want_cum
+
+
+def _poisson_sample(mu, reps, seed):
+    return Counter(np.random.default_rng(seed).poisson(mu, reps).tolist())
+
+
+@pytest.mark.parametrize("mu, histogram", [
+    pytest.param(0.5, _poisson_sample(0.5, 200, 1), id="0.5"),
+    pytest.param(2.25, {0: 60, 1: 120, 2: 140, 3: 100, 4: 50, 5: 20, 6: 7, 7: 2, 9: 1},
+                 id="2.25"),
+    # a count far left of the table's first nonzero term
+    pytest.param(5611.483339505966,
+                 _poisson_sample(5611.483339505966, 80, 2) + Counter({100: 1}), id="5611"),
+    pytest.param(1e6, _poisson_sample(1e6, 60, 3), id="1e6"),
+])
+def test_chi_square_is_the_full_pooling_loop(mu, histogram):
+    s = EmpiricalSummary.from_histogram(histogram)
+    observed, theory, tail = _poisson_table(s, mu)
+    want = pooled_chi_square(np.append(observed, 0.0),
+                             np.append(theory * s.reps, tail * s.reps))
+    assert chi_square_poisson(s, mu) == want
+
+
+def test_tv_distance_is_at_most_one():
+    # 50 trials all at V = 9,950 against Pois(1e6): the summed terms round past 1
+    s = EmpiricalSummary.from_histogram({9950: 50})
+    assert tv_distance_poisson(s, 1e6) == 1.0
 
 
 def test_poisson_table_refuses_more_than_1e7_terms():
