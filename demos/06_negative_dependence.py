@@ -3,7 +3,7 @@
 For two distinct urns, the joint probability that both counts exceed their
 thresholds never exceeds the product of the marginal tail probabilities.
 The joint law of the two counts is carried forward one ball at a time; the
-marginals are exact binomial tails.
+marginals come from the same table, its row 0 and column 0.
 """
 
 from urnoverflow import Custom, nod_check

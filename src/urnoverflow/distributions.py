@@ -38,14 +38,11 @@ class Uniform:
     """Equal probability 1/m on urns 0..m-1."""
 
     urn_count: int
+    finite_support = True
 
     def __post_init__(self):
         if not isinstance(self.urn_count, (int, np.integer)) or self.urn_count < 1:
             raise ValueError(f"urn_count must be a positive integer, got {self.urn_count!r}")
-
-    @property
-    def finite_support(self):
-        return True
 
     @property
     def support_size(self):
@@ -86,15 +83,12 @@ class Geometric:
     """p_j = p * (1-p)^j on urns j = 0, 1, 2, ... (infinite support)."""
 
     success_prob: float
+    finite_support = False
 
     def __post_init__(self):
         p = self.success_prob
         if not (0.0 < p < 1.0) or not math.isfinite(p):
             raise ValueError(f"success_prob must lie in (0,1), got {p!r}")
-
-    @property
-    def finite_support(self):
-        return False
 
     def p_star(self) -> float:
         # mass is decreasing in j, so the supremum sits at j = 0
@@ -133,6 +127,7 @@ class Custom:
     """Explicit weights over urns 0..len(weights)-1, normalized on construction."""
 
     __slots__ = ("probs", "cdf", "_distinct")
+    finite_support = True
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)
@@ -166,10 +161,6 @@ class Custom:
 
     def __hash__(self):
         return hash(self.probs.tobytes())
-
-    @property
-    def finite_support(self):
-        return True
 
     @property
     def support_size(self):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import poisson_pmf
 from .distributions import BoxDistribution
 
 __all__ = [
@@ -220,7 +221,7 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
             moved[:, r:] += toeplitz @ mass[:, :-r]   # no columns when r > n
             mass = moved
     total = float(mass[n].sum())
-    if not abs(total / math.exp(n * math.log(n) - n - math.lgamma(n + 1)) - 1.0) <= 1e-10:
+    if not abs(total / poisson_pmf(n, n) - 1.0) <= 1e-10:
         raise ValueError(f"pmf mass {total} is not P(Pois(n) = n) within 1e-10 at n={n}")
     pmf = {n - h: float(mass[n, h] / total) for h in range(top, min(n, r) - 1, -1)}
     mean = sum(v * w for v, w in pmf.items())
@@ -270,13 +271,11 @@ def nod_joint_table(dist: BoxDistribution, n: int, k: int, l: int,
 def nod_check(dist: BoxDistribution, n: int, k: int, l: int,
               m1: int, m2: int, x1: int, x2: int):
     """(joint, product, holds) for P(N_k(m1)>=x1, N_l(m2)>=x2) <= product of
-    marginals; the joint comes from nod_joint_table's recurrence, the
-    marginals from the exact binomial tails."""
+    marginals, all read from nod_joint_table's law: the joint at [x1, x2],
+    the two marginals at [x1, 0] and [0, x2]."""
     table = nod_joint_table(dist, n, k, l, m1, m2)
     x1 = min(max(x1, 0), table.shape[0] - 1)
     x2 = min(max(x2, 0), table.shape[1] - 1)
     joint = float(table[x1, x2])
-    probs = dist.support_probs()
-    product = (binomial_tail(k - 1, float(probs[m1]), x1)
-               * binomial_tail(l - 1, float(probs[m2]), x2))
+    product = float(table[x1, 0] * table[0, x2])
     return joint, product, joint <= product + 1e-12

@@ -60,14 +60,16 @@ def _poisson_terms(mu: float) -> tuple[np.ndarray, float]:
     if bound >= 10_000_000:
         raise ValueError(f"the Poisson table for mu = {mu!r} needs more than 10^7 terms")
     # by Chernoff, P(K = k) <= exp(-(mu - k)^2 / 2 mu), under e^-800 below
-    # mu - 40 sqrt(mu), where math.exp already gives 0.0: those terms go in as zeros
-    pmf, cum = [0.0] * max(0, math.ceil(mu - 40.0 * math.sqrt(mu))), 0.0
-    while cum < 1.0 - POISSON_TAIL_TOL and len(pmf) <= bound:
-        pmf.append(poisson_pmf(mu, len(pmf)))
-        cum += pmf[-1]
-    pmf = np.array(pmf)
+    # mu - 40 sqrt(mu), where math.exp already gives 0.0: those terms stay zeros
+    pmf = np.zeros(bound + 1)
+    start = max(0, math.ceil(mu - 40.0 * math.sqrt(mu)))
+    pmf[start:] = [poisson_pmf(mu, k) for k in range(start, bound + 1)]
+    # np.cumsum adds in index order: cum[k] sums terms 0..k left to right
+    cum = np.cumsum(pmf)
+    top = min(int(np.searchsorted(cum, 1.0 - POISSON_TAIL_TOL)), bound)
+    pmf = pmf[:top + 1]
     pmf.flags.writeable = False
-    return pmf, cum
+    return pmf, float(cum[top])
 
 
 def _poisson_table(summary: EmpiricalSummary, mu: float) -> tuple[np.ndarray, np.ndarray, float]:

@@ -485,6 +485,18 @@ def test_simulate_gof_poisson_at_mu_1e6(capsys):
     assert fit["tv_poisson"] == 1.0
 
 
+def test_simulate_gof_poisson_reports_a_degenerate_chi_square(capsys):
+    # mu = 2e-6: every trial gives V = 0 and the whole expected count pools
+    # into one cell, so the chi-square has no degree of freedom
+    code, out, err = run_cli(["simulate", "--dist", "uniform:m=1000000", "--balls", "2",
+                              "--capacity", "1", "--reps", "60", "--seed", "1",
+                              "--gof", "poisson", "--no-timing"], capsys)
+    assert (code, err) == (0, "")
+    fit = json.loads(out)["fit"]
+    assert fit["chi_square"] == {"error": "degenerate fit: fewer than 2 cells after pooling"}
+    assert fit["tv_poisson"] == pytest.approx(-math.expm1(-2e-6), rel=1e-9)
+
+
 def test_simulate_gof_poisson_refuses_a_table_beyond_1e7_terms(capsys):
     # mu = n^2 / 2! = 5e9
     t0 = time.perf_counter()

@@ -467,6 +467,23 @@ def test_nod_joint_table_matches_sequence_oracle():
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+def test_nod_check_marginals_are_the_binomial_tails():
+    # nod_check reads its marginals off the joint table; binomial_tail
+    # is the independent route
+    for dist in [Uniform(2), Uniform(3), Custom([3, 1]), Custom([5, 3, 2])]:
+        probs = dist.support_probs()
+        for l in range(1, 8):
+            for k in range(1, l + 1):
+                for m1, m2 in itertools.permutations(range(dist.support_size), 2):
+                    tail1 = [binomial_tail(k - 1, float(probs[m1]), x) for x in range(k + 1)]
+                    tail2 = [binomial_tail(l - 1, float(probs[m2]), x) for x in range(l + 1)]
+                    for x1, x2 in itertools.product(range(k + 1), range(l + 1)):
+                        joint, product, holds = nod_check(dist, 6, k, l, m1, m2, x1, x2)
+                        want = tail1[x1] * tail2[x2]
+                        assert abs(product - want) <= 1e-14 * want
+                        assert holds == (joint <= want + 1e-12)
+
+
 def test_nod_joint_table_budget_counts_cells():
     # (l-1)(l+1)^2 cells: 9,984,384 at l = 215, 10,124,135 at l = 216
     assert nod_joint_table(Uniform(3), 214, 215, 215, 0, 1).shape == (216, 216)

@@ -96,7 +96,7 @@ def test_poisson_table_stops_at_its_bound(mu):
     assert statistic > 0.0 and dof >= 1
 
 
-@pytest.mark.parametrize("mu", [2.25, 5611.483339505966, 1e5])
+@pytest.mark.parametrize("mu", [1e-9, 2.25, 5611.483339505966, 1e5, 1e6])
 def test_poisson_table_is_the_term_by_term_table(mu):
     # the terms below mu - 40 sqrt(mu) go in as zeros without a call each
     bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
@@ -125,6 +125,14 @@ def test_chi_square_is_the_full_pooling_loop(mu, histogram):
     want = pooled_chi_square(np.append(observed, 0.0),
                              np.append(theory * s.reps, tail * s.reps))
     assert chi_square_poisson(s, mu) == want
+
+
+def test_fits_refuse_what_they_cannot_fit():
+    with pytest.raises(ValueError, match="need at least one replication"):
+        tv_distance_poisson(EmpiricalSummary({}, 0, 0.0, 0.0), 2.25)
+    # all of Pois(1e-6)'s expected count, 60 (1 - 6e-5), lies in one cell
+    with pytest.raises(ValueError, match="fewer than 2 cells after pooling"):
+        chi_square_poisson(EmpiricalSummary.from_histogram({0: 60}), 1e-6)
 
 
 def test_tv_distance_is_at_most_one():
