@@ -3,10 +3,15 @@
 One sort-and-shift kernel gives all three: on the sorted draw s, a ball has at
 least k earlier urn-mates exactly when s[i] == s[i-k], so the overflow V_k at
 capacity k counts those positions (V_0 = n), and L_r = V_{r-1} - V_r and
-M_r = V_{r-1} - 2 V_r + V_{r+1}.  The count route (n - sum_m min(count_m, r),
-#(count >= r), #(count == r) on the final counts) is its independent check;
-it reads the counts as the lengths of the runs of equal keys in the sorted
-draw, after checking that the draw is sorted, so it needs no second sort.
+M_r = V_{r-1} - 2 V_r + V_{r+1}.  The keys are compared once, at
+k = max(r-1, 1).  On a sorted draw s[i] == s[i+k+1] holds exactly when both
+s[i] == s[i+k] and s[i+1] == s[i+k+1] do, since k >= 1 puts s[i+1] between
+s[i] and s[i+k]; so the AND of the match flags with themselves shifted by one
+marks the matches at k+1, and that AND taken once more the matches at k+2.
+The count route (n - sum_m min(count_m, r), #(count >= r), #(count == r) on
+the final counts) is its independent check; it reads the counts as the
+lengths of the runs of equal keys in the sorted draw, after checking that the
+draw is sorted, so it needs no second sort.
 Only equality of urn indices matters, so the kernel sorts the keys it is
 given; the samplers already draw them as int32 whenever every index fits.
 The kernel has two halves: the sort, and the count on sorted keys
@@ -30,13 +35,6 @@ __all__ = [
 ]
 
 
-def _shifted_matches(s: np.ndarray, k: int) -> int:
-    """V_k of a sorted draw s: positions i with s[i] == s[i-k], and V_0 = n."""
-    if k == 0:
-        return s.size
-    return int(np.count_nonzero(s[k:] == s[:-k]))
-
-
 def overflow_stats(balls: np.ndarray, r: int) -> tuple[int, int, int]:
     """(V, L, M) at capacity r from one sort of the draw.
 
@@ -48,8 +46,16 @@ def overflow_stats(balls: np.ndarray, r: int) -> tuple[int, int, int]:
 
 
 def _sorted_stats(s: np.ndarray, r: int) -> tuple[int, int, int]:
-    """(V, L, M) at capacity r >= 1 of an already sorted draw s."""
-    v_lo, v, v_hi = (_shifted_matches(s, k) for k in (r - 1, r, r + 1))
+    """(V, L, M) at capacity r >= 1 of an already sorted draw s, from one key
+    comparison at k = max(r-1, 1) and two ANDs (module docstring)."""
+    k = max(r - 1, 1)
+    at_k = s[k:] == s[:-k]
+    at_k1 = at_k[1:] & at_k[:-1]
+    v_k, v_k1 = int(np.count_nonzero(at_k)), int(np.count_nonzero(at_k1))
+    if r == 1:
+        v_lo, v, v_hi = s.size, v_k, v_k1
+    else:
+        v_lo, v, v_hi = v_k, v_k1, int(np.count_nonzero(at_k1[1:] & at_k1[:-1]))
     return v, v_lo - v, v_lo - 2 * v + v_hi
 
 

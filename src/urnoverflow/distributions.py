@@ -41,8 +41,9 @@ class Uniform:
     finite_support = True
 
     def __post_init__(self):
-        if not isinstance(self.urn_count, (int, np.integer)) or self.urn_count < 1:
-            raise ValueError(f"urn_count must be a positive integer, got {self.urn_count!r}")
+        m = self.urn_count
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"urn_count must be a positive integer, got {m!r}")
 
     @property
     def support_size(self):
@@ -236,7 +237,8 @@ def _check_moment_order(r):
 def parse_dist_spec(spec: str) -> BoxDistribution:
     """Parse ``uniform:m=<int>``, ``geometric:p=<real>`` or ``custom:@<path>``.
 
-    The custom file holds one weight per line, UTF-8, with ``#`` comments.
+    The custom file holds one weight per line, UTF-8 with or without a
+    byte-order mark, with ``#`` comments.
     """
     kind, sep, arg = spec.partition(":")
     if not sep:
@@ -255,7 +257,7 @@ def parse_dist_spec(spec: str) -> BoxDistribution:
         if not arg.startswith("@"):
             raise ValueError(f"custom spec must look like custom:@<path>, got {spec!r}")
         weights = []
-        with open(arg[1:], encoding="utf-8") as fh:
+        with open(arg[1:], encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if line:

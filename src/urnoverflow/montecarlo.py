@@ -48,12 +48,17 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # numpy integers are kept as Python ints, so that no size arithmetic
+        # wraps in a narrow dtype
+        for name in ("n", "r", "reps", "seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1 or self.r < 1 or self.reps < 1:
             raise ValueError("n, r and reps must all be >= 1")
         if self.reps > MAX_TRIALS:
             raise ValueError(f"reps must be <= 2**32, got {self.reps}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.threads < 1:

@@ -54,12 +54,23 @@ def test_streaming_equals_count_based(n, r, urns, seed):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.integers(1, 45),
-       st.sampled_from([0, 2**31 - 3, 2**31, 2**32 + 5, 2**62]))
-@example(urns=[4], r=1, offset=0)                   # n = 1, V_0 = n
-@example(urns=[0, 0, 0], r=3, offset=2**31)         # r = n
-@example(urns=[1, 1, 2, 1, 2], r=1, offset=2**62)   # r = 1, far urns
-def test_kernel_matches_per_ball_oracle(urns, r, offset):
-    balls = np.asarray(urns, dtype=np.int64) + offset
+       st.sampled_from([0, 2**31 - 3, 2**31, 2**32 + 5, 2**62]),
+       st.sampled_from([np.int64, np.float64]))
+@example(urns=[4], r=1, offset=0, keys=np.int64)                   # n = 1, V_0 = n
+@example(urns=[0, 0, 0], r=3, offset=2**31, keys=np.int64)         # r = n
+@example(urns=[1, 1, 2, 1, 2], r=1, offset=2**62, keys=np.int64)   # r = 1, far urns
+@example(urns=[2, 2, 2, 0, 2], r=1, offset=0, keys=np.int64)       # r = 1, one comparison at k = 1
+@example(urns=[1, 0, 1], r=4, offset=0, keys=np.int64)             # r - 1 = n: no match flags
+@example(urns=[1, 0, 1], r=9, offset=2**31, keys=np.int64)         # r - 1 > n: no match flags
+@example(urns=[3] * 7, r=6, offset=0, keys=np.int64)               # one urn, r = n - 1
+@example(urns=[3] * 7, r=7, offset=2**32 + 5, keys=np.int64)       # one urn, r = n
+@example(urns=[3] * 7, r=8, offset=0, keys=np.int64)               # one urn, r = n + 1
+@example(urns=[0, 5, 5, 1, 5, 5, 0], r=2, offset=2**31, keys=np.float64)  # float keys
+@example(urns=[6, 6, 6, 6], r=1, offset=2**32 + 5, keys=np.float64)       # float keys, r = 1
+def test_kernel_matches_per_ball_oracle(urns, r, offset, keys):
+    # float64 keys are integer-valued, as Geometric draws them beyond 32 bits;
+    # near 2**62 neighbouring urns share one float, which merges them for both sides
+    balls = (np.asarray(urns, dtype=np.int64) + offset).astype(keys)
     expected = per_ball_overflow_stats(balls, r)
     assert overflow_stats(balls, r) == expected
     assert streaming_overflow(balls, r) == expected[0]

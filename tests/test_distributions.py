@@ -213,12 +213,13 @@ def test_custom_rejects_bad_weights(bad):
     (Uniform, (0,), ValueError, "urn_count must be a positive integer"),
     (Uniform, (-3,), ValueError, "urn_count must be a positive integer"),
     (Uniform, (2.0,), ValueError, "urn_count must be a positive integer"),
+    (Uniform, (True,), ValueError, "urn_count must be a positive integer"),
     (setattr, (Custom([1, 3]), "probs", None), AttributeError, "immutable"),
     (Uniform(4).power_moment, (0,), ValueError, "moment order r must be a positive integer"),
     (Geometric(0.5).power_moment, (1.0,), ValueError, "moment order r must be a positive integer"),
     (Custom([1, 3]).power_moment, (-1,), ValueError, "moment order r must be a positive integer"),
-], ids=["uniform m=0", "uniform m=-3", "uniform m=2.0", "custom setattr", "uniform r=0",
-        "geometric r=1.0", "custom r=-1"])
+], ids=["uniform m=0", "uniform m=-3", "uniform m=2.0", "uniform m=True", "custom setattr",
+        "uniform r=0", "geometric r=1.0", "custom r=-1"])
 def test_distribution_checks(call, args, error, message):
     with pytest.raises(error, match=message):
         call(*args)
@@ -309,6 +310,16 @@ def test_parse_specs(tmp_path):
     f.write_text("# comment\n1.0\n3.0  # trailing\n", encoding="utf-8")
     d = parse_dist_spec(f"custom:@{f}")
     assert np.allclose(d.probs, [0.25, 0.75])
+
+
+def test_parse_reads_a_weight_file_with_a_byte_order_mark(tmp_path):
+    text = "# weights\n1\n2.5\n3  # last\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert (parse_dist_spec(f"custom:@{marked}") == parse_dist_spec(f"custom:@{plain}")
+            == Custom([1, 2.5, 3]))
 
 
 @pytest.mark.parametrize("bad", ["uniform", "uniform:n=3", "geometric:p", "custom:w.txt",

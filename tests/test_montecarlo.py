@@ -184,6 +184,16 @@ def test_config_validation():
         ExperimentConfig(dist=Uniform(2), n=0, r=1, reps=1, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(dist=Uniform(2), n=1, r=1, reps=1, seed=2**64)
+    # a size that is no integer is refused on construction, not by numpy or
+    # range() once sampling has started, and a bool does not pass as 1
+    sizes = dict(n=3, r=1, reps=2, threads=1)
+    for name, bad in [("n", 2.5), ("r", 2.0), ("reps", 2.5), ("threads", 1.5),
+                      ("n", True), ("reps", True), ("threads", True), ("r", "2")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(dist=Uniform(2), seed=0, **{**sizes, name: bad})
+    cfg = ExperimentConfig(dist=Uniform(2), seed=0, n=np.int64(3), r=np.int32(1),
+                           reps=np.uint16(2), threads=np.int8(1))
+    assert run_experiment(cfg) == run_experiment(ExperimentConfig(dist=Uniform(2), seed=0, **sizes))
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
