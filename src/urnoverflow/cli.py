@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .asymptotics import poisson_pmf, regime_report
+from .asymptotics import _pmf_terms, regime_report
 from .distributions import Geometric, parse_dist_spec
 from .exact import (BudgetExceededError, exact_distribution,
                     exact_mean_overflow, exact_mean_via_counts)
@@ -76,8 +76,7 @@ def _summary_dict(summary) -> dict:
 
 
 def _emit_json(record: dict) -> None:
-    json.dump(record, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -158,9 +157,10 @@ def cmd_simulate(args) -> int:
         _emit_json(record)
     else:
         sys.stdout.write("value,count,empirical_prob,theory_prob\n")
-        for k, c in summary.histogram.items():
-            theory = repr(poisson_pmf(mu, k)) if mu is not None else ""
-            sys.stdout.write(f"{k},{c},{c / summary.reps!r},{theory}\n")
+        theory = ([""] * len(summary.histogram) if mu is None else
+                  map(repr, _pmf_terms(list(summary.histogram), mu=mu).tolist()))
+        for (k, c), prob in zip(summary.histogram.items(), theory):
+            sys.stdout.write(f"{k},{c},{c / summary.reps!r},{prob}\n")
     return 0
 
 

@@ -8,7 +8,7 @@ Work is capped by the fixed module budgets MEAN_BUDGET and ORACLE_BUDGET;
 exceeding one raises BudgetExceededError rather than silently approximating.
 
 Every binomial term comes from the pmf rows of _pmf_rows, a ratio product in
-numpy, so no exact route loads scipy.
+numpy or Loader's saddle-point terms, so no exact route loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import poisson_pmf
+from .asymptotics import _pmf_terms
 from .distributions import BoxDistribution
 
 __all__ = [
@@ -37,6 +37,7 @@ ORACLE_BUDGET = 10**7             # law / nod recurrence cells to fill
 STEP_CELLS = 1000                 # measured fixed cost of one urn's law step, in cells
 GEOMETRIC_CUTOFF = 1e-14          # relative contribution below which geometric urns stop
 GRID_CELLS = 1 << 20              # cells per block of an exact route's arrays
+RATIO_ROW_MAX = 64.0              # n |log q| from which a pmf row is saddle-point terms
 
 
 class BudgetExceededError(RuntimeError):
@@ -57,29 +58,24 @@ def _tail_span(r: int) -> int:
 def _pmf_rows(n: int, p: np.ndarray, top: int) -> np.ndarray:
     """rows[u, k] = P(Bin(n, p[u]) = k) for k = 0..top, top <= n, 0 <= p <= 1.
 
-    P(N=0) = q^n times the cumulative product of P(N=i+1)/P(N=i) =
-    (n-i)/(i+1) p/q, in place in one array.  The rows whose q^n underflows
-    go in logs, whose partial sums of size |n log q| leave a relative error of
-    about that times the float epsilon: 7e-13 at n p = 750.  A row with p = 1
-    is the point mass at n, built from a p = 0 row so that q = 0 is never
-    divided by or taken the log of."""
-    certain = p == 1.0
-    if certain.any():
-        rows = _pmf_rows(n, np.where(certain, 0.0, p), top)
-        rows[certain] = np.arange(top + 1) == n
+    A row with n |log q| < RATIO_ROW_MAX is P(N=0) = q^n times the
+    cumulative product of P(N=i+1)/P(N=i) = (n-i)/(i+1) p/q, in place in one
+    array.  Its rounding grows with n |log q| (q^n underflows past 745), but
+    up to 64 such rows stay within about 2e-14 of 60-digit values, as close
+    as Loader's saddle-point terms, asymptotics._pmf_terms, from which every
+    other row, p = 1 among them, takes each term."""
+    # n |log q| >= RATIO_ROW_MAX as a bound on p, which p = 1 always meets
+    far = p >= -math.expm1(-RATIO_ROW_MAX / max(n, 1))
+    if far.any():
+        rows = np.empty((p.size, top + 1))
+        rows[far] = _pmf_terms(np.arange(top + 1), n=n, p=p[far, None])
+        rows[~far] = _pmf_rows(n, p[~far], top)
         return rows
-    log_q0 = n * np.log1p(-p)
     i = np.arange(1, top + 1)
     rows = np.empty((p.size, top + 1))
-    np.exp(log_q0, out=rows[:, 0])
+    np.exp(n * np.log1p(-p), out=rows[:, 0])
     np.multiply.outer(p / (1.0 - p), (n + 1 - i) / i, out=rows[:, 1:])
-    if log_q0.min(initial=0.0) >= -700.0:
-        return np.cumprod(rows, axis=1, out=rows)
-    deep = log_q0 < -700.0
-    logs = np.column_stack((log_q0[deep], np.log(rows[deep, 1:]))).cumsum(axis=1)
-    np.cumprod(rows, axis=1, out=rows)
-    rows[deep] = np.exp(logs)
-    return rows
+    return np.cumprod(rows, axis=1, out=rows)
 
 
 def _tail_sum(n: int, p: np.ndarray, r: int, g0: float, g1: float) -> np.ndarray:
@@ -204,15 +200,13 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
         raise BudgetExceededError(f"the law of {n} balls in {s} urns takes more than "
                                   f"{ORACLE_BUDGET} cells: oracle budget exceeded")
     c = np.arange(n + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    probs = dist.distinct_probs()
+    # each urn's Pois(n p) law on 0..n, and last P(Pois(n) = c)
+    terms = _pmf_terms(c, mu=n * np.array([p for p, _ in probs] + [1.0])[:, None])
     lag = np.subtract.outer(c, c)     # j - j'; negative lags are masked off
     mass = np.zeros((n + 1, top + 1))
     mass[0, 0] = 1.0
-    for p, mult in dist.distinct_probs():
-        if p == 0.0:
-            continue    # a normalised mass that underflowed: no balls, an identity step
-        # Pois(n p) in logs, so that no q[c] underflows with e^(-n p)
-        q = np.exp(c * math.log(n * p) - n * p - log_fact)
+    for (_, mult), q in zip(probs, terms):
         toeplitz = np.where(lag >= r, q[lag], 0.0)
         for _ in range(mult):
             moved = q[0] * mass
@@ -221,7 +215,7 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
             moved[:, r:] += toeplitz @ mass[:, :-r]   # no columns when r > n
             mass = moved
     total = float(mass[n].sum())
-    if not abs(total / poisson_pmf(n, n) - 1.0) <= 1e-10:
+    if not abs(total / terms[-1, n] - 1.0) <= 1e-10:
         raise ValueError(f"pmf mass {total} is not P(Pois(n) = n) within 1e-10 at n={n}")
     pmf = {n - h: float(mass[n, h] / total) for h in range(top, min(n, r) - 1, -1)}
     mean = sum(v * w for v, w in pmf.items())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import poisson_pmf
+from .asymptotics import _pmf_terms
 
 __all__ = [
     "EmpiricalSummary",
@@ -60,16 +60,17 @@ def _poisson_terms(mu: float) -> tuple[np.ndarray, float]:
     if bound >= 10_000_000:
         raise ValueError(f"the Poisson table for mu = {mu!r} needs more than 10^7 terms")
     # by Chernoff, P(K = k) <= exp(-(mu - k)^2 / 2 mu), under e^-800 below
-    # mu - 40 sqrt(mu), where math.exp already gives 0.0: those terms stay zeros
+    # mu - 40 sqrt(mu), where np.exp already gives 0.0: those terms stay zeros
     pmf = np.zeros(bound + 1)
     start = max(0, math.ceil(mu - 40.0 * math.sqrt(mu)))
-    pmf[start:] = [poisson_pmf(mu, k) for k in range(start, bound + 1)]
-    # np.cumsum adds in index order: cum[k] sums terms 0..k left to right
-    cum = np.cumsum(pmf)
-    top = min(int(np.searchsorted(cum, 1.0 - POISSON_TAIL_TOL)), bound)
+    pmf[start:] = _pmf_terms(np.arange(start, bound + 1), mu=mu)
+    # np.cumsum adds in index order: cum[k - start] sums terms start..k left to
+    # right, as a sum from 0 would after adding its zeros
+    cum = np.cumsum(pmf[start:])
+    top = min(start + int(np.searchsorted(cum, 1.0 - POISSON_TAIL_TOL)), bound)
     pmf = pmf[:top + 1]
     pmf.flags.writeable = False
-    return pmf, float(cum[top])
+    return pmf, float(cum[top - start])
 
 
 def _poisson_table(summary: EmpiricalSummary, mu: float) -> tuple[np.ndarray, np.ndarray, float]:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -172,14 +174,15 @@ def loop_overflow_pmf(probs, n, r):
     return pmf
 
 
-def poisson_table_by_term(mu, tol, bound):
-    """(Pois(mu) pmf on 0..K, its summed mass), one e^(k log mu - mu - lgamma(k+1))
-    term at a time from k = 0, until the mass reaches 1 - tol or K = bound."""
+def poisson_table_by_term(terms, tol):
+    """(terms 0..K, their summed mass), one term at a time from k = 0, until
+    the mass reaches 1 - tol or the terms run out."""
     pmf, cum = [], 0.0
-    while cum < 1.0 - tol and len(pmf) <= bound:
-        k = len(pmf)
-        pmf.append(math.exp(k * math.log(mu) - mu - math.lgamma(k + 1)))
-        cum += pmf[-1]
+    for term in terms.tolist():
+        if cum >= 1.0 - tol:
+            break
+        pmf.append(term)
+        cum += term
     return np.array(pmf), cum
 
 
@@ -201,3 +204,52 @@ def pooled_chi_square(observed, expected):
         cells_obs[-1] += acc_o
     e, o = np.array(cells_exp), np.array(cells_obs)
     return float(((o - e) ** 2 / e).sum()), len(cells_exp) - 1
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+# B_2, B_4, ..., B_16
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+              Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510))
+
+
+def _decimal_log_factorial(k):
+    """log k! in the current decimal context: exact below 30, else Stirling's
+    series to the 1/k^15 term, whose remainder is below 1e-26 relative."""
+    if k < 30:
+        return Decimal(math.factorial(k)).ln()
+    k = Decimal(k)
+    series = sum(Decimal(b.numerator) / Decimal(b.denominator) / ((2 * j) * (2 * j - 1))
+                 / k ** (2 * j - 1) for j, b in enumerate(_BERNOULLI, start=1))
+    return (k + Decimal("0.5")) * k.ln() - k + (2 * _PI).ln() / 2 + series
+
+
+def decimal_stirlerr(k):
+    """log k! - log(sqrt(2 pi k) (k/e)^k) for k >= 1, in 60-digit decimal
+    arithmetic, rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(_decimal_log_factorial(k) - (k + Decimal("0.5")) * Decimal(k).ln() + k
+                     - (2 * _PI).ln() / 2)
+
+
+def decimal_pmf(lo, hi, mu=None, n=None, p=None):
+    """[P(X = k) for k = lo..hi] as floats, X = Pois(mu) or Bin(n, p) for the
+    exact values of the floats mu and p, in 60-digit decimal arithmetic: the
+    term at lo from log-factorials, then the ratios P(k+1)/P(k) = mu/(k+1) or
+    (n-k)/(k+1) p/q, each rounded at the 60th digit."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emin = -10**9
+        if n is None:
+            m = Decimal(mu)
+            log_term = lo * m.ln() - m - _decimal_log_factorial(lo)
+        else:
+            m, q = Decimal(p), 1 - Decimal(p)
+            log_term = (_decimal_log_factorial(n) - _decimal_log_factorial(lo)
+                        - _decimal_log_factorial(n - lo) + lo * m.ln() + (n - lo) * q.ln())
+        term = log_term.exp()
+        terms = []
+        for k in range(lo, hi + 1):
+            terms.append(float(term))
+            term *= m / (k + 1) if n is None else (n - k) * m / ((k + 1) * q)
+        return terms

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from urnoverflow.asymptotics import RegimeReport, poisson_pmf, regime_report
+from oracles import decimal_pmf, decimal_stirlerr
+from urnoverflow.asymptotics import RegimeReport, _pmf_terms, _stirlerr, poisson_pmf, regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform
 
 
@@ -78,6 +79,54 @@ def test_poisson_pmf_refuses_a_mean_that_is_no_poisson_law(mu):
 @pytest.mark.parametrize("mu, k", [(1.5, -1), (2.25, -3), (1e6, -1)])
 def test_poisson_pmf_is_zero_below_its_support(mu, k):
     assert poisson_pmf(mu, k) == 0.0
+
+
+def _assert_terms_match_decimal(got, want, k, mean, sd):
+    # 1e-13 relative over the mean +- 12 sd, 1e-14 within one sd of it
+    rel = np.abs(got / np.array(want) - 1.0)
+    assert rel.max() <= 1e-13
+    assert rel[np.abs(k - mean) <= sd].max() <= 1e-14
+
+
+@pytest.mark.parametrize("mu", [0.5, 2.25, 37.5, 1000.0, 5611.48, 1e5, 1e6])
+def test_poisson_terms_match_the_decimal_oracle(mu):
+    # exp(k log mu - mu - lgamma(k+1)) is up to 2.7e-9 off on this grid
+    sd = math.sqrt(mu)
+    lo, hi = max(0, math.ceil(mu - 12.0 * sd)), math.floor(mu + 12.0 * sd)
+    k = np.arange(lo, hi + 1)
+    got = _pmf_terms(k, mu=mu)
+    _assert_terms_match_decimal(got, decimal_pmf(lo, hi, mu=mu), k, mu, sd)
+    mode = math.floor(mu) - lo
+    assert poisson_pmf(mu, int(k[mode])) == got[mode]
+
+
+@pytest.mark.parametrize("n, p", [
+    (12, 0.3), (40, 0.25), (7, 0.999), (200, 0.1), (1000, 0.0007), (10_000, 1e-4),
+    (800, 0.9375), (1000, 0.75), (1500, 0.5), (2000, 1 / 3), (3000, 0.25),   # n p up to 750
+    (100_000, 0.0075),
+])
+def test_binomial_terms_match_the_decimal_oracle(n, p):
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    lo, hi = max(0, math.ceil(mean - 12.0 * sd)), min(n, math.floor(mean + 12.0 * sd))
+    k = np.arange(lo, hi + 1)
+    _assert_terms_match_decimal(_pmf_terms(k, n=n, p=p), decimal_pmf(lo, hi, n=n, p=p),
+                                k, mean, sd)
+
+
+def test_stirlerr_on_both_sides_of_16():
+    # the table below 16 and the series from 16 up; an error in the exponent
+    # is the same relative error in every pmf term
+    k = np.arange(1.0, 40.0)
+    want = [decimal_stirlerr(j) for j in range(1, 40)]
+    assert np.abs(_stirlerr(k) - want).max() <= 5e-16
+
+
+@pytest.mark.parametrize("n", [0, 1, 12])
+def test_binomial_terms_at_p_0_and_1_are_point_masses(n):
+    k = np.arange(n + 1)
+    assert _pmf_terms(k, n=n, p=0.0).tolist() == [1.0] + [0.0] * n
+    assert _pmf_terms(k, n=n, p=1.0).tolist() == [0.0] * n + [1.0]
+    assert _pmf_terms(k, mu=0.0).tolist() == [1.0] + [0.0] * n
 
 
 def test_geometric_scaled_moment_examples():

@@ -92,8 +92,8 @@ def test_tail_sum_on_certain_and_empty_urns(k):
 
 @pytest.mark.parametrize("r", [1, 2, 5, 30, 300, 1000])
 def test_tail_span_leaves_less_than_e_to_the_minus_40(r):
-    # n p just below r, where the terms past r fall slowest; at r = 1000 q^n
-    # underflows and the row goes in logs
+    # n p just below r, where the terms past r fall slowest; at r = 300 and
+    # 1000, n |log q| > RATIO_ROW_MAX and the row is saddle-point terms
     n = 10 * r + 100
     row = exact._pmf_rows(n, np.array([(r - 1e-9) / n]), n)[0]
     k = np.arange(n + 1)
@@ -213,10 +213,11 @@ def test_overflow_mean_at_the_regime_switch(dist, n, r):
 
 
 @pytest.mark.parametrize("r", [740, 760, 800])
-def test_overflow_mean_on_pmf_rows_in_logs(r):
-    # n p = 750: each row has n log q < -700 and is built in logs, r near n p
+def test_overflow_mean_on_saddle_point_rows(r):
+    # n p = 750, r near n p: n |log q| = 863, so each row takes its terms from
+    # Loader's saddle point
     want = exact_mean_rational([(1 / 4, 4)], 3000, r)
-    assert exact_mean_overflow(Uniform(4), 3000, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert exact_mean_overflow(Uniform(4), 3000, r) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_fig4_mean_routes():
@@ -263,7 +264,7 @@ def test_blocked_routes_match_one_block(monkeypatch, dist, n, r):
 
 
 def test_counts_route_where_q_to_the_n_underflows():
-    # n p = 1000, so P(N = 0) = 2^-2000 underflows and the pmf rows go in logs
+    # n p = 1000, so P(N = 0) = 2^-2000 underflows: saddle-point pmf rows
     want = loop_mean_overflow([(0.5, 2)], 2000, 900)
     assert exact_mean_via_counts(Uniform(2), 2000, 900) == pytest.approx(want, rel=1e-12)
     assert exact_mean_overflow(Uniform(2), 2000, 900) == pytest.approx(want, rel=1e-14)

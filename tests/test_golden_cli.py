@@ -5,7 +5,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,5 +36,5 @@ def test_every_exit_code_is_covered():
 def test_cli_output_matches_the_golden_file(argv, weights_dir, monkeypatch):
     monkeypatch.chdir(weights_dir)
     assert golden.run(argv) == RECORDED["outputs"][golden.key(argv)], (
-        f"output moved; golden file written under numpy {RECORDED['numpy']}, "
-        f"running numpy {np.__version__}")
+        f"output moved; golden file written under {golden.describe(RECORDED)}, "
+        f"running {golden.describe(golden.platform_record())}")

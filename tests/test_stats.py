@@ -8,7 +8,7 @@ from scipy import stats as sps
 from scipy.special import ndtr
 
 from urnoverflow import stats
-from urnoverflow.asymptotics import poisson_pmf
+from urnoverflow.asymptotics import _pmf_terms, poisson_pmf
 from urnoverflow.distributions import Uniform
 from urnoverflow.montecarlo import ExperimentConfig, run_experiment
 from urnoverflow.stats import (EmpiricalSummary, _normal_cdf, _poisson_table,
@@ -62,24 +62,26 @@ def test_tv_truncation_feeds_tail_into_discrepancy():
 
 
 def test_poisson_fit_pinned_at_fig2_mu():
-    # floats of the two fits before they shared one Poisson table
+    # floats of the two fits on Loader's terms; on the table's terms from
+    # oracles.decimal_pmf the same code gives 0.03223147633797069,
+    # (4.166048403815215, 6) and 0.7332082128277808, within 2e-14 relative
     s = EmpiricalSummary.from_histogram({0: 60, 1: 120, 2: 140, 3: 100, 4: 50, 5: 20,
                                          6: 7, 7: 2, 9: 1})
-    assert tv_distance_poisson(s, 2.25) == 0.03223147633797062
-    assert chi_square_poisson(s, 2.25) == (4.166048403815211, 6)
-    assert tv_distance_poisson(EmpiricalSummary.from_histogram({2: 1}), 2.25) == 0.7332082128277808
+    assert tv_distance_poisson(s, 2.25) == 0.03223147633797049
+    assert chi_square_poisson(s, 2.25) == (4.166048403815138, 6)
+    assert tv_distance_poisson(EmpiricalSummary.from_histogram({2: 1}), 2.25) == 0.7332082128277807
 
 
 def test_tv_and_chi_square_fits_share_one_poisson_table(monkeypatch):
     # a mean no other test fits, so the table is not already built
-    mu, terms = 1.8203125, []
-    monkeypatch.setattr(stats, "poisson_pmf", lambda m, k: terms.append(k) or poisson_pmf(m, k))
+    mu, calls = 1.8203125, []
+    monkeypatch.setattr(stats, "_pmf_terms",
+                        lambda k, mu: calls.append(k.tolist()) or _pmf_terms(k, mu=mu))
     s = EmpiricalSummary.from_histogram({0: 16, 1: 30, 2: 27, 3: 16, 4: 7, 5: 4})
     tv_distance_poisson(s, mu)
-    built = list(terms)
+    assert len(calls) == 1 and calls[0] == list(range(len(calls[0])))   # one call, all terms
     chi_square_poisson(s, mu)
-    assert built and built == list(range(len(built)))    # one call a term
-    assert terms == built
+    assert len(calls) == 1
     with pytest.raises(ValueError):
         stats._poisson_terms(mu)[0][0] = 0.0    # the shared pmf is read-only
 
@@ -98,9 +100,10 @@ def test_poisson_table_stops_at_its_bound(mu):
 
 @pytest.mark.parametrize("mu", [1e-9, 2.25, 5611.483339505966, 1e5, 1e6])
 def test_poisson_table_is_the_term_by_term_table(mu):
-    # the terms below mu - 40 sqrt(mu) go in as zeros without a call each
+    # the terms below mu - 40 sqrt(mu) go in as zeros without being computed
     bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
-    want, want_cum = poisson_table_by_term(mu, stats.POISSON_TAIL_TOL, bound)
+    want, want_cum = poisson_table_by_term(_pmf_terms(np.arange(bound + 1), mu=mu),
+                                           stats.POISSON_TAIL_TOL)
     pmf, cum = stats._poisson_terms(mu)
     assert pmf.dtype == want.dtype and pmf.tobytes() == want.tobytes()
     assert cum == want_cum
@@ -136,9 +139,10 @@ def test_fits_refuse_what_they_cannot_fit():
 
 
 def test_tv_distance_is_at_most_one():
-    # 50 trials all at V = 9,950 against Pois(1e6): the summed terms round past 1
+    # 50 trials all at V = 9,950 against Pois(5e5): the summed terms round
+    # past 1, to 1 + 1.6e-15
     s = EmpiricalSummary.from_histogram({9950: 50})
-    assert tv_distance_poisson(s, 1e6) == 1.0
+    assert tv_distance_poisson(s, 5e5) == 1.0
 
 
 def test_poisson_table_refuses_more_than_1e7_terms():

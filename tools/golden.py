@@ -8,9 +8,9 @@ Each argv runs in-process through ``urnoverflow.cli.main``, with
 holding the custom weight files.  The argvs name those files by relative
 path, because ``exact`` echoes ``--dist`` in its record.  The digests depend
 on numpy's SeedSequence, PCG64 and the platform's libm, as the pinned
-histogram digests do, so the file records numpy's version.  A change that
-moves an output on purpose rewrites the file in the same commit and lists the
-argvs that moved.
+histogram digests do, so the file records numpy's version, the machine and
+the C library.  A change that moves an output on purpose rewrites the file in
+the same commit and lists the argvs that moved.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shlex
 import sys
 import tempfile
@@ -107,6 +108,7 @@ ARGVS = (
     _exact("custom:@w5311.txt", 8, 1, "--full-dist"),
     _exact(FIG4, 10_000, 4),
     _exact(FIG4, 10_000, 4, "--full-dist"),
+    _exact("uniform:m=4", 3000, 760),        # n p = 750, r near it: saddle-point rows
     _exact("uniform:m=3", 5, 2, "--full-dist"),
     _exact("uniform:m=2", 100_000, 2, "--full-dist"),
     _exact("uniform:m=7", 1, 1_000_000),
@@ -145,6 +147,16 @@ def key(argv) -> str:
     return shlex.join(argv)
 
 
+def platform_record() -> dict:
+    """What the digests depend on besides the code: numpy, the machine, libc."""
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "libc": " ".join(platform.libc_ver())}
+
+
+def describe(record: dict) -> str:
+    return f"numpy {record['numpy']} on {record['machine']}, {record['libc']}"
+
+
 def outputs() -> dict:
     """Every argv's record, run in a fresh directory holding the weight files."""
     here = os.getcwd()
@@ -164,7 +176,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     got = outputs()
     if args.write:
-        GOLDEN.write_text(json.dumps({"numpy": np.__version__, "outputs": got},
+        GOLDEN.write_text(json.dumps({**platform_record(), "outputs": got},
                                      indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(got)} outputs to {GOLDEN}")
         return 0
@@ -173,8 +185,8 @@ def main(argv=None) -> int:
              if got.get(k) != golden["outputs"].get(k)]
     for k in sorted(moved):
         print(f"moved: {k}")
-    print(f"{len(moved)} of {len(got)} outputs moved (golden numpy "
-          f"{golden['numpy']}, running numpy {np.__version__})")
+    print(f"{len(moved)} of {len(got)} outputs moved (golden file written under "
+          f"{describe(golden)}; running {describe(platform_record())})")
     return 1 if moved else 0
 
 
