@@ -1,5 +1,6 @@
 """Limit-regime diagnostics: the Poisson intensity, the conditions behind the
-Poisson and normal limits, and the finite-n / asymptotic variance bracket.
+Poisson and normal limits, and the finite-n / asymptotic variance bracket;
+and the package's one pmf kernel, _pmf_terms, which exact, stats and cli import.
 
 A single (dist, n) pair cannot decide an asymptotic statement, so the
 classification is an explicitly labeled heuristic:

@@ -64,7 +64,7 @@ def _scaled_preset(name: str, scale: float) -> dict:
             lo, hi = (mid, hi) if low else (lo, mid)
         p["p"] = math.exp(hi)
     elif name == "fig3":
-        p["m"] = max(1, round(n ** 1.1))
+        p["m"] = max(1, math.floor(n ** 1.1))
     elif name == "fig4":
         p["p"] = 1.0 / n
     return p

@@ -50,37 +50,36 @@ class EmpiricalSummary:
 
 
 @functools.lru_cache(maxsize=1)
-def _poisson_terms(mu: float) -> tuple[np.ndarray, float]:
-    """(read-only Pois(mu) pmf on 0..K, its summed mass), built once per mu for
-    both fits.  The pmf runs until its mass reaches 1 - POISSON_TAIL_TOL, or at
-    most to ceil(mu + 12 sqrt(mu) + 40), beyond which Bernstein's inequality
-    leaves less than 1e-26 of the mass: summed pmf terms of a large mu can stop
-    short of 1 - POISSON_TAIL_TOL by rounding alone."""
+def _poisson_terms(mu: float) -> tuple[int, np.ndarray, float]:
+    """(lo, read-only Pois(mu) pmf on lo..K, its summed mass), built once per mu
+    for both fits.  lo = max(0, ceil(mu - 40 sqrt(mu))): by Chernoff the terms
+    below lo are under e^-800, and the term at lo is under e^-799 when lo > 0,
+    so all are 0.0 in float64.  The pmf runs until its mass reaches
+    1 - POISSON_TAIL_TOL, or at most to ceil(mu + 12 sqrt(mu) + 40), beyond
+    which Bernstein's inequality leaves less than 1e-26 of the mass: summed pmf
+    terms of a large mu can stop short of 1 - POISSON_TAIL_TOL by rounding alone."""
     bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
     if bound >= 10_000_000:
-        raise ValueError(f"the Poisson table for mu = {mu!r} needs more than 10^7 terms")
-    # by Chernoff, P(K = k) <= exp(-(mu - k)^2 / 2 mu), under e^-800 below
-    # mu - 40 sqrt(mu), where np.exp already gives 0.0: those terms stay zeros
-    pmf = np.zeros(bound + 1)
-    start = max(0, math.ceil(mu - 40.0 * math.sqrt(mu)))
-    pmf[start:] = _pmf_terms(np.arange(start, bound + 1), mu=mu)
-    # np.cumsum adds in index order: cum[k - start] sums terms start..k left to
-    # right, as a sum from 0 would after adding its zeros
-    cum = np.cumsum(pmf[start:])
-    top = min(start + int(np.searchsorted(cum, 1.0 - POISSON_TAIL_TOL)), bound)
-    pmf = pmf[:top + 1]
+        raise ValueError(f"the Poisson table for mu = {mu!r} would run to k = {bound} >= 10^7")
+    lo = max(0, math.ceil(mu - 40.0 * math.sqrt(mu)))
+    pmf = _pmf_terms(np.arange(lo, bound + 1), mu=mu)
+    # np.cumsum adds in index order, as a loop would
+    cum = np.cumsum(pmf)
+    top = min(int(np.searchsorted(cum, 1.0 - POISSON_TAIL_TOL)), pmf.size - 1)
+    pmf = pmf[:top + 1].copy()
     pmf.flags.writeable = False
-    return pmf, float(cum[top - start])
+    return lo, pmf, float(cum[top])
 
 
 def _poisson_table(summary: EmpiricalSummary, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(observed counts, Pois(mu) pmf, Poisson mass beyond them) on 0..K, K at
-    least the largest observed value; a negative one counts at 0."""
-    pmf, cum = _poisson_terms(mu)
-    top = max(max(summary.histogram), pmf.size - 1)
+    """(observed counts, Pois(mu) pmf, Poisson mass beyond them) on lo..K, K at
+    least the largest observed value; a value below lo counts at lo, whose
+    term is 0.0 when lo > 0."""
+    lo, pmf, cum = _poisson_terms(mu)
+    top = max(max(summary.histogram) - lo, pmf.size - 1)
     observed = np.zeros(top + 1)
     for k, v in summary.histogram.items():
-        observed[max(k, 0)] += v
+        observed[max(k - lo, 0)] += v
     return observed, np.pad(pmf, (0, top + 1 - pmf.size)), max(1.0 - cum, 0.0)
 
 

@@ -440,6 +440,13 @@ def test_scale_one_is_the_preset_itself(name):
     assert cli._scaled_preset(name, 1.0) == PRESETS[name]
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig3", "fig4"])
+def test_scaling_rules_give_the_preset_at_its_own_n(name):
+    # a scale whose n rounds back to the preset's; fig2's p = 6 n^(-4/3) is not
+    # the root that keeps mu = 2.25, so it is left out
+    assert cli._scaled_preset(name, 1.0 - 1e-6) == PRESETS[name]
+
+
 def test_no_timing_output_is_reproducible(capsys):
     args = ["simulate", "--dist", "custom:@WEIGHTS", "--balls", "40",
             "--capacity", "2", "--reps", "300", "--seed", "77", "--no-timing"]
@@ -472,8 +479,8 @@ def test_simulate_gof_poisson_at_a_large_mu(capsys):
 
 
 def test_simulate_gof_poisson_at_mu_1e6(capsys):
-    # every trial gives V = 9,950, far left of the table's 50,195 nonzero
-    # terms: the TV is 1 less a term far below the float epsilon, and the
+    # every trial gives V = 9,950, far left of the table's first cell at
+    # k = 960,000: the TV is 1 less a term far below the float epsilon, and the
     # summed terms put it at 1 - 2.2e-16
     t0 = time.perf_counter()
     code, out, _ = run_cli(["simulate", "--dist", "uniform:m=50", "--balls", "10000",
@@ -498,8 +505,8 @@ def test_simulate_gof_poisson_reports_a_degenerate_chi_square(capsys):
     assert fit["tv_poisson"] == pytest.approx(-math.expm1(-2e-6), rel=1e-9)
 
 
-def test_simulate_gof_poisson_refuses_a_table_beyond_1e7_terms(capsys):
-    # mu = n^2 / 2! = 5e9
+def test_simulate_gof_poisson_refuses_a_table_bound_of_1e7_or_more(capsys):
+    # mu = n^2 / 2! = 5e9, whose table would run to k = 5,000,848,569
     t0 = time.perf_counter()
     code, out, err = run_cli(["simulate", "--dist", "uniform:m=1", "--balls", "100000",
                               "--capacity", "1", "--reps", "1", "--seed", "1",
@@ -507,7 +514,7 @@ def test_simulate_gof_poisson_refuses_a_table_beyond_1e7_terms(capsys):
     assert time.perf_counter() - t0 < 2.0
     assert code == 2
     assert out == ""
-    assert "mu = 5000000000.0" in err and "Traceback" not in err
+    assert "mu = 5000000000.0 would run to k = 5000848569" in err and "Traceback" not in err
 
 
 def test_simulate_gof_poisson_refuses_the_table_before_any_trial(capsys, monkeypatch):

@@ -83,7 +83,7 @@ def test_tv_and_chi_square_fits_share_one_poisson_table(monkeypatch):
     chi_square_poisson(s, mu)
     assert len(calls) == 1
     with pytest.raises(ValueError):
-        stats._poisson_terms(mu)[0][0] = 0.0    # the shared pmf is read-only
+        stats._poisson_terms(mu)[1][0] = 0.0    # the shared pmf is read-only
 
 
 @pytest.mark.parametrize("mu", [2012.0481442879966, 3000.0, 5611.483339505966])
@@ -100,13 +100,49 @@ def test_poisson_table_stops_at_its_bound(mu):
 
 @pytest.mark.parametrize("mu", [1e-9, 2.25, 5611.483339505966, 1e5, 1e6])
 def test_poisson_table_is_the_term_by_term_table(mu):
-    # the terms below mu - 40 sqrt(mu) go in as zeros without being computed
-    bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
-    want, want_cum = poisson_table_by_term(_pmf_terms(np.arange(bound + 1), mu=mu),
-                                           stats.POISSON_TAIL_TOL)
-    pmf, cum = stats._poisson_terms(mu)
-    assert pmf.dtype == want.dtype and pmf.tobytes() == want.tobytes()
+    # the table starts at lo: the terms below it are zeros and not computed
+    want, want_cum = _dense_poisson_table(mu)
+    lo, pmf, cum = stats._poisson_terms(mu)
+    assert (want[:lo] == 0.0).all()
+    assert pmf.dtype == want.dtype and pmf.tobytes() == want[lo:].tobytes()
     assert cum == want_cum
+
+
+def _dense_poisson_table(mu):
+    """The term-by-term Pois(mu) table from k = 0 and its summed mass."""
+    bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
+    return poisson_table_by_term(_pmf_terms(np.arange(bound + 1), mu=mu),
+                                 stats.POISSON_TAIL_TOL)
+
+
+def _dense_fits(summary, mu):
+    """(TV, (chi-square, dof)) on the table from k = 0, the observed counts
+    padded from 0 and a negative value counted at 0."""
+    pmf, cum = _dense_poisson_table(mu)
+    top = max(max(summary.histogram), pmf.size - 1)
+    observed = np.zeros(top + 1)
+    for k, v in summary.histogram.items():
+        observed[max(k, 0)] += v
+    theory, tail = np.pad(pmf, (0, top + 1 - pmf.size)), max(1.0 - cum, 0.0)
+    tv = min(0.5 * (np.abs(observed / summary.reps - theory).sum() + tail), 1.0)
+    return tv, pooled_chi_square(np.append(observed, 0.0),
+                                 np.append(theory * summary.reps, tail * summary.reps))
+
+
+@pytest.mark.parametrize("mu", [1e-9, 2.25, 1600.5, 5611.483339505966, 1e5, 1e6])
+def test_windowed_fits_are_the_fits_from_zero(mu):
+    # counts left of lo (a negative one among them) and right of the table's end
+    lo, pmf, _ = stats._poisson_terms(mu)
+    assert lo == 0 or pmf[0] == 0.0     # the cell below-lo values join holds no mass
+    s = EmpiricalSummary.from_histogram(
+        _poisson_sample(mu, 200, 4) + Counter({-2: 1, lo - 1: 2, lo + pmf.size + 3: 1}))
+    tv, (statistic, dof) = _dense_fits(s, mu)
+    assert abs(tv_distance_poisson(s, mu) - tv) <= 4 * np.spacing(tv)
+    if dof < 1:
+        with pytest.raises(ValueError, match="fewer than 2 cells"):
+            chi_square_poisson(s, mu)
+    else:
+        assert chi_square_poisson(s, mu) == (statistic, dof)
 
 
 def _poisson_sample(mu, reps, seed):
@@ -145,11 +181,13 @@ def test_tv_distance_is_at_most_one():
     assert tv_distance_poisson(s, 5e5) == 1.0
 
 
-def test_poisson_table_refuses_more_than_1e7_terms():
+def test_poisson_table_refuses_a_bound_of_1e7_or_more():
     s = EmpiricalSummary.from_histogram({0: 60})
     t0 = time.perf_counter()
     for fit in (tv_distance_poisson, chi_square_poisson):
-        with pytest.raises(ValueError, match="mu = 5000000000.0"):
+        # its bound is ceil(mu + 12 sqrt(mu) + 40)
+        with pytest.raises(ValueError,
+                           match=r"mu = 5000000000.0 would run to k = 5000848569 >= 10\^7"):
             fit(s, 5e9)
     assert time.perf_counter() - t0 < 1.0
 

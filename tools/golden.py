@@ -118,6 +118,7 @@ ARGVS = (
     _exact("geometric:p=1e-310", 10, 1),
     _exact("geometric:p=1e-31", 10, 1),
     _simulate("geometric:p=1e-300", 10, 1, 3, 1, "--gof", "poisson"),
+    _simulate("uniform:m=1", 5000, 1, 3, 1, "--gof", "poisson"),    # mu = 1.25e7: table refused
     _simulate("uniform:m=1", 1, 1_000_000, 3, 1),
     # no --seed: argparse's usage error
     ("simulate", "--dist", "uniform:m=2", "--balls", "4", "--capacity", "1", "--reps", "3"),
