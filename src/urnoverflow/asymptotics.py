@@ -1,6 +1,6 @@
 """Limit-regime diagnostics: the Poisson intensity, the conditions behind the
 Poisson and normal limits, and the finite-n / asymptotic variance bracket;
-and the package's one pmf kernel, _pmf_terms, which exact, stats and cli import.
+and the saddle-point pmf kernel, _pmf_terms, which exact, stats and cli import.
 
 A single (dist, n) pair cannot decide an asymptotic statement, so the
 classification is an explicitly labeled heuristic:
@@ -107,7 +107,8 @@ def poisson_pmf(mu: float, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Poisson and binomial terms by C. Loader's saddle point ("Fast and accurate
 # computation of binomial probabilities", 2000), the pair behind R's dpois and
-# dbinom: every pmf term of the package comes from _pmf_terms.
+# dbinom: every pmf term of the package but those of exact._pmf_rows's ratio
+# rows, the rows whose first term is at least e^-64, comes from _pmf_terms.
 # ---------------------------------------------------------------------------
 
 # Stirling's series log k! - log(sqrt(2 pi k) (k/e)^k) = sum_j c_j / k^(2j-1):

@@ -200,8 +200,8 @@ class UsageError(Exception):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parse_args keeps no state."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommands' parsers by name, built once: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="urnoverflow",
         description="Urn overflow laboratory: simulation, exact computation, "
@@ -239,11 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     pre = sub.add_parser("predict", help="regime report only")
     add_dist_args(pre, required=True)
     pre.set_defaults(func=cmd_predict)
-    return parser
+    return parser, {"simulate": sim, "exact": exa, "predict": pre}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
+    # a named subcommand parses its own arguments; the top-level parser takes
+    # the rest: no argument, -h and an unknown command
+    args = (commands[argv[0]].parse_args(argv[1:]) if argv and argv[0] in commands
+            else parser.parse_args(argv))
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -44,6 +44,7 @@ class Uniform:
         m = self.urn_count
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError(f"urn_count must be a positive integer, got {m!r}")
+        object.__setattr__(self, "urn_count", int(m))     # so that no budget product wraps
 
     @property
     def support_size(self):

@@ -7,8 +7,9 @@ negative-dependence inequality, by a ball-by-ball recurrence.
 Work is capped by the fixed module budgets MEAN_BUDGET and ORACLE_BUDGET;
 exceeding one raises BudgetExceededError rather than silently approximating.
 
-Every binomial term comes from the pmf rows of _pmf_rows, a ratio product in
-numpy or Loader's saddle-point terms, so no exact route loads scipy.
+Every Poisson and binomial term comes from the pmf rows of _pmf_rows: a ratio
+product wherever the row's first term is at least e^-64, Loader's saddle-point
+terms elsewhere, so no exact route loads scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ ORACLE_BUDGET = 10**7             # law / nod recurrence cells to fill
 STEP_CELLS = 1000                 # measured fixed cost of one urn's law step, in cells
 GEOMETRIC_CUTOFF = 1e-14          # relative contribution below which geometric urns stop
 GRID_CELLS = 1 << 20              # cells per block of an exact route's arrays
-RATIO_ROW_MAX = 64.0              # n |log q| from which a pmf row is saddle-point terms
+RATIO_ROW_MAX = 64.0              # -log P(X=0) from which a pmf row is saddle-point terms
 
 
 class BudgetExceededError(RuntimeError):
@@ -55,27 +56,32 @@ def _tail_span(r: int) -> int:
     return math.ceil(9.0 * math.sqrt(r)) + 12
 
 
-def _pmf_rows(n: int, p: np.ndarray, top: int) -> np.ndarray:
-    """rows[u, k] = P(Bin(n, p[u]) = k) for k = 0..top, top <= n, 0 <= p <= 1.
+def _pmf_rows(top: int, *, mu=None, n=None, p=None) -> np.ndarray:
+    """rows[u, k] = P(X_u = k), k = 0..top, for X_u = Pois(mu[u]) with mu >= 0,
+    or X_u = Bin(n, p[u]) with 0 <= p <= 1 and top <= n, over a 1-d array.
 
-    A row with n |log q| < RATIO_ROW_MAX is P(N=0) = q^n times the
-    cumulative product of P(N=i+1)/P(N=i) = (n-i)/(i+1) p/q, in place in one
-    array.  Its rounding grows with n |log q| (q^n underflows past 745), but
-    up to 64 such rows stay within about 2e-14 of 60-digit values, as close
-    as Loader's saddle-point terms, asymptotics._pmf_terms, from which every
-    other row, p = 1 among them, takes each term."""
-    # n |log q| >= RATIO_ROW_MAX as a bound on p, which p = 1 always meets
-    far = p >= -math.expm1(-RATIO_ROW_MAX / max(n, 1))
-    if far.any():
-        rows = np.empty((p.size, top + 1))
-        rows[far] = _pmf_terms(np.arange(top + 1), n=n, p=p[far, None])
-        rows[~far] = _pmf_rows(n, p[~far], top)
-        return rows
+    A row whose first term P(X=0), e^-mu or q^n, is at least e^-RATIO_ROW_MAX
+    is that term times the cumulative product of P(X=i)/P(X=i-1), mu/i or
+    (n+1-i)/i p/q, in place in one array.  Its rounding grows with -log P(X=0)
+    (q^n underflows past 745), but below 64 it stays within about 2e-14 of
+    60-digit values, as close as Loader's saddle-point terms,
+    asymptotics._pmf_terms, which give every other row, p = 1 among them."""
+    # -log P(X=0) >= RATIO_ROW_MAX, for Bin(n, p) as a bound on p that p = 1 always meets
+    far = mu >= RATIO_ROW_MAX if n is None else p >= -math.expm1(-RATIO_ROW_MAX / max(n, 1))
+    x = np.where(far, 0.0, mu if n is None else p)    # a far row as a point mass, for now
     i = np.arange(1, top + 1)
-    rows = np.empty((p.size, top + 1))
-    np.exp(n * np.log1p(-p), out=rows[:, 0])
-    np.multiply.outer(p / (1.0 - p), (n + 1 - i) / i, out=rows[:, 1:])
-    return np.cumprod(rows, axis=1, out=rows)
+    rows = np.empty((x.size, top + 1))
+    if n is None:
+        np.exp(-x, out=rows[:, 0])
+        np.divide.outer(x, i, out=rows[:, 1:])
+    else:
+        np.exp(n * np.log1p(-x), out=rows[:, 0])
+        np.multiply.outer(x / (1.0 - x), (n + 1 - i) / i, out=rows[:, 1:])
+    rows.cumprod(axis=1, out=rows)
+    if far.any():
+        kernel = {"mu": mu[far, None]} if n is None else {"n": n, "p": p[far, None]}
+        rows[far] = _pmf_terms(np.arange(top + 1), **kernel)
+    return rows
 
 
 def _tail_sum(n: int, p: np.ndarray, r: int, g0: float, g1: float) -> np.ndarray:
@@ -85,7 +91,7 @@ def _tail_sum(n: int, p: np.ndarray, r: int, g0: float, g1: float) -> np.ndarray
     below r, nor for g = 1, whose tail is at least about 1/2 where n p >= r."""
     top = min(n, r + _tail_span(r))
     g = g0 + g1 * np.arange(top + 1)
-    rows = _pmf_rows(n, p, top)
+    rows = _pmf_rows(top, n=n, p=p)
     return np.where(n * p < r, rows[:, r:] @ g[r:], g0 + g1 * n * p - rows[:, :r] @ g[:r])
 
 
@@ -158,7 +164,7 @@ def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:
     i = np.arange(r)
     total = 0.0
     for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // r)):
-        pmf = _pmf_rows(n, p, r - 1)
+        pmf = _pmf_rows(r - 1, n=n, p=p)
         with np.errstate(divide="ignore"):      # log q = -inf where p = 1: q^n = 0
             tail = -np.expm1(n * np.log1p(-p)) - pmf[:, 1:].sum(axis=1)
         total += float((n * p - pmf @ i - r * tail) @ mult)
@@ -189,7 +195,9 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
     c >= r by (c, r) in one Toeplitz matmul, one kernel per distinct p.  Given
     N = n the counts are multinomial, so row n, normalised, is the law of n - V;
     its mass must be P(Pois(n) = n) within 1e-10 relative, else ValueError.
-    ORACLE_BUDGET caps (n+1)^2 (H+1) + STEP_CELLS cells an urn."""
+    Those Pois(n p) laws and P(Pois(n) = n) are one _pmf_rows call, a ratio
+    product where the mean is below 64.  ORACLE_BUDGET caps (n+1)^2 (H+1) +
+    STEP_CELLS cells an urn."""
     if not dist.finite_support:
         raise ValueError("exact_distribution requires a finite-support distribution")
     if n < 1 or r < 1:
@@ -202,7 +210,7 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
     c = np.arange(n + 1)
     probs = dist.distinct_probs()
     # each urn's Pois(n p) law on 0..n, and last P(Pois(n) = c)
-    terms = _pmf_terms(c, mu=n * np.array([p for p, _ in probs] + [1.0])[:, None])
+    terms = _pmf_rows(n, mu=n * np.array([p for p, _ in probs] + [1.0]))
     lag = np.subtract.outer(c, c)     # j - j'; negative lags are masked off
     mass = np.zeros((n + 1, top + 1))
     mass[0, 0] = 1.0

@@ -106,7 +106,8 @@ def chi_square_poisson(summary: EmpiricalSummary, mu: float) -> tuple[float, int
     held = (expected > 0.0) | (observed > 0.0)
     cells_exp, cells_obs = [], []
     acc_e = acc_o = 0.0
-    for e, o in zip(expected[held][::-1], observed[held][::-1]):
+    # Python floats add as float64 does, without a numpy scalar per cell
+    for e, o in zip(expected[held][::-1].tolist(), observed[held][::-1].tolist()):
         acc_e += e
         acc_o += o
         if acc_e >= 5.0:

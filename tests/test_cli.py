@@ -594,3 +594,46 @@ def test_consecutive_calls_share_no_state(capsys):
         assert exc.value.code == 2
     code, out, _ = run_cli(exact, capsys)
     assert code == 0 and json.loads(out)["exact_mean_overflow"] == pytest.approx(2.125)
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["exact"], ["exact", "--bogus"]],
+                         ids=["no command", "unknown command", "no flags", "unknown flag"])
+def test_usage_errors_exit_2_with_empty_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    # the parser that parsed argv names itself in the usage line
+    prog = "urnoverflow exact" if argv[:1] == ["exact"] else "urnoverflow"
+    assert out.err.startswith(f"usage: {prog} [-h]")
+
+
+def test_an_unrecognized_flag_prints_the_subcommands_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--dist", "uniform:m=2", "--balls", "4", "--capacity", "1",
+              "--bogus", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: urnoverflow predict [-h] --dist DIST")
+    assert out.err.endswith("urnoverflow predict: error: unrecognized arguments: --bogus 1\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["simulate", "-h"], ["exact", "-h"],
+                                  ["predict", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        f"usage: {' '.join(['urnoverflow', *argv[:-1]])} [-h]")
+
+
+def test_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):
+    argv = ["predict", "--dist", "uniform:m=25118", "--balls", "10000", "--capacity", "2"]
+    monkeypatch.setattr(sys, "argv", ["urnoverflow", *argv])
+    assert main() == 0
+    from_sys = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == from_sys != ""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from urnoverflow import distributions
 from urnoverflow.distributions import Custom, Geometric, Uniform, parse_dist_spec
+from urnoverflow.exact import BudgetExceededError, exact_distribution, exact_mean_overflow
 from urnoverflow.montecarlo import trial_rng
 
 from oracles import support_masses
@@ -223,6 +224,23 @@ def test_custom_rejects_bad_weights(bad):
 def test_distribution_checks(call, args, error, message):
     with pytest.raises(error, match=message):
         call(*args)
+
+
+@pytest.mark.parametrize("m", [5, 2**62])
+def test_uniform_keeps_a_numpy_urn_count_as_an_int(m):
+    d = Uniform(np.int64(m))
+    assert type(d.urn_count) is int
+    assert d == Uniform(m) and hash(d) == hash(Uniform(m)) and repr(d) == repr(Uniform(m))
+
+
+@pytest.mark.parametrize("route,m,n,r", [(exact_mean_overflow, 5 * 10**17, 100, 2),
+                                         (exact_distribution, 2**62, 3, 1)])
+def test_a_numpy_urn_count_is_refused_as_an_int_is(route, m, n, r):
+    # kept as np.int64, n * m wraps past the mean budget and the law's cell
+    # count wraps to 0
+    for count in (np.int64(m), m):
+        with pytest.raises(BudgetExceededError):
+            route(Uniform(count), n, r)
 
 
 def test_custom_is_a_read_only_value():

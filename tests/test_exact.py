@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from oracles import (binomial_tail_rational, exact_mean_rational, loop_mean_overflow,
-                     loop_overflow_pmf, occupancy_pmf, sequence_nod_table,
-                     sequence_overflow_pmf, tail_bound)
+from oracles import (binomial_tail_rational, decimal_pmf, exact_mean_rational,
+                     loop_mean_overflow, loop_overflow_pmf, occupancy_pmf,
+                     sequence_nod_table, sequence_overflow_pmf, tail_bound)
 from urnoverflow import exact
-from urnoverflow.asymptotics import regime_report
+from urnoverflow.asymptotics import _pmf_terms, regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (BudgetExceededError, binomial_tail,
                                exact_distribution, exact_mean_overflow,
@@ -95,7 +95,7 @@ def test_tail_span_leaves_less_than_e_to_the_minus_40(r):
     # n p just below r, where the terms past r fall slowest; at r = 300 and
     # 1000, n |log q| > RATIO_ROW_MAX and the row is saddle-point terms
     n = 10 * r + 100
-    row = exact._pmf_rows(n, np.array([(r - 1e-9) / n]), n)[0]
+    row = exact._pmf_rows(n, n=n, p=np.array([(r - 1e-9) / n]))[0]
     k = np.arange(n + 1)
     for terms in (row, np.maximum(k - r, 0) * row):    # binomial_tail's sum, the mean's
         past = terms[r + 1 + exact._tail_span(r):].sum()
@@ -105,7 +105,7 @@ def test_tail_span_leaves_less_than_e_to_the_minus_40(r):
 @pytest.mark.parametrize("top", [12, 5])
 def test_pmf_rows_for_every_p_in_the_unit_interval(top):
     n, ps = 12, [0.0, 1e-300, 0.3, 1.0]
-    rows = exact._pmf_rows(n, np.array(ps), top)
+    rows = exact._pmf_rows(top, n=n, p=np.array(ps))
     assert rows.shape == (len(ps), top + 1)
     for row, p in zip(rows, ps):
         p = Fraction(p)
@@ -113,6 +113,83 @@ def test_pmf_rows_for_every_p_in_the_unit_interval(top):
             want = float(math.comb(n, k) * p**k * (1 - p)**(n - k))
             assert row[k] == pytest.approx(want, rel=1e-14, abs=0.0)
     assert list(rows[-1]) == [0.0] * top + [1.0 if top == n else 0.0]
+
+
+def _ratio_rows(n, p, top):
+    """q^n times the cumulative product of (n+1-i)/i p/q, written out."""
+    i = np.arange(1, top + 1)
+    rows = np.empty((p.size, top + 1))
+    np.exp(n * np.log1p(-p), out=rows[:, 0])
+    np.multiply.outer(p / (1.0 - p), (n + 1 - i) / i, out=rows[:, 1:])
+    return np.cumprod(rows, axis=1, out=rows)
+
+
+# the benchmark's exact instances that the mean budget admits, and fig4
+ROW_INSTANCES = [
+    (Geometric(0.05), 200, 2), (Geometric(0.25), 40, 3), (Geometric(0.1), 100, 2),
+    (Geometric(0.2), 50, 2), (Geometric(0.05), 100, 3), (Geometric(0.1), 200, 3),
+    (Uniform(25_118), 10_000, 2), (Uniform(1000), 5000, 3), (Uniform(4), 8, 2),
+    (Uniform(5), 10, 2), (Uniform(6), 12, 2), (Uniform(3), 20, 3), (Custom([1, 2, 3]), 12, 2),
+    (Custom([1, 1, 2, 4]), 10, 3), (Custom([5, 3, 1, 1]), 8, 1), (Geometric(1e-4), 10_000, 4),
+]
+
+
+@pytest.mark.parametrize("dist,n,r", ROW_INSTANCES, ids=repr)
+def test_binomial_rows_are_the_ratio_product_bit_for_bit(dist, n, r):
+    # every row of these instances has n |log q| < RATIO_ROW_MAX, at both
+    # widths the mean routes ask for
+    p = np.concatenate([p for p, _ in exact._urns(dist, n, r, exact.GRID_CELLS)])
+    for top in (min(n, r + exact._tail_span(r)), r - 1):
+        want = _ratio_rows(n, p, top)
+        assert exact._pmf_rows(top, n=n, p=p).tobytes() == want.tobytes()
+
+
+POISSON_MEANS = [1e-300, 1e-10, 0.5, 1.0, 1289 / 1001, 2.25, 10.0, 37.5, 50.0, 63.0,
+                 math.nextafter(64.0, 0.0), 64.0, math.nextafter(64.0, math.inf), 65.0, 100.0]
+
+
+def _assert_ratio_rows_match_decimal(rows, mus):
+    # 1e-13 relative wherever the 60-digit term is above 1e-290
+    for row, mu in zip(rows, mus):
+        want = np.array(decimal_pmf(0, row.size - 1, mu=mu))
+        held = want > 1e-290
+        assert np.abs(row[held] / want[held] - 1.0).max() <= 1e-13, mu
+
+
+def test_poisson_rows_below_64_are_the_ratio_product_and_above_it_the_kernel():
+    # one call over both row kinds; 600 terms pass 1e-290 for every mean below 64
+    mus = np.array(POISSON_MEANS)
+    rows = exact._pmf_rows(600, mu=mus)
+    near = mus < 64.0
+    for row, mu in zip(rows[near], mus[near]):
+        ratio = np.cumprod(np.append(np.exp(-mu), mu / np.arange(1.0, 601.0)))
+        assert row.tobytes() == ratio.tobytes()
+    _assert_ratio_rows_match_decimal(rows[near], mus[near])
+    k = np.arange(601)
+    for row, mu in zip(rows[~near], mus[~near]):
+        assert row.tobytes() == _pmf_terms(k, mu=mu).tobytes()
+        sd = math.sqrt(mu)
+        lo, hi = max(0, math.ceil(mu - 12.0 * sd)), math.floor(mu + 12.0 * sd)
+        want = np.array(decimal_pmf(lo, hi, mu=mu))
+        assert np.abs(row[lo:hi + 1] / want - 1.0).max() <= 1e-13
+
+
+def test_poisson_row_at_mean_0_is_the_point_mass():
+    assert exact._pmf_rows(5, mu=np.array([0.0])).tolist() == [[1.0] + [0.0] * 5]
+
+
+def test_long_poisson_rows_at_the_budget_edge():
+    # weights (1, 1000) at the most balls ORACLE_BUDGET admits for two urns at
+    # r = 1: the light urn's Pois(1.29) row runs to k = 1289 by the ratio product
+    dist, n, r = Custom([1, 1000]), 1289, 1
+    assert _law_cells(2, n, r) <= exact.ORACLE_BUDGET < _law_cells(2, n + 1, r)
+    mus = n * np.array([p for p, _ in dist.distinct_probs()] + [1.0])
+    rows = exact._pmf_rows(n, mu=mus)
+    assert mus[0] < exact.RATIO_ROW_MAX <= mus[1]
+    _assert_ratio_rows_match_decimal(rows[:1], mus[:1])
+    law = exact_distribution(dist, n, r)
+    assert sum(law.pmf.values()) == pytest.approx(1.0, abs=1e-12)
+    assert law.mean == pytest.approx(exact_mean_overflow(dist, n, r), rel=1e-12)
 
 
 def test_tail_bound_examples():

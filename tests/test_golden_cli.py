@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from urnoverflow import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
 golden = importlib.util.module_from_spec(_spec)
@@ -38,3 +40,22 @@ def test_cli_output_matches_the_golden_file(argv, weights_dir, monkeypatch):
     assert golden.run(argv) == RECORDED["outputs"][golden.key(argv)], (
         f"output moved; golden file written under {golden.describe(RECORDED)}, "
         f"running {golden.describe(golden.platform_record())}")
+
+
+def _parsed(parser, argv):
+    """The parsed Namespace of argv as a dict, or argparse's exit code."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [a for a in golden.ARGVS
+                                  if a and a[0] in ("simulate", "exact", "predict")],
+                         ids=golden.key)
+def test_a_subcommand_parses_its_argv_as_the_top_level_parser_does(argv, capsys):
+    parser, commands = cli.build_parser()
+    whole = _parsed(parser, list(argv))
+    if isinstance(whole, dict):
+        assert whole.pop("command") == argv[0]
+    assert _parsed(commands[argv[0]], list(argv[1:])) == whole

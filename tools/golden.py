@@ -120,8 +120,13 @@ ARGVS = (
     _simulate("geometric:p=1e-300", 10, 1, 3, 1, "--gof", "poisson"),
     _simulate("uniform:m=1", 5000, 1, 3, 1, "--gof", "poisson"),    # mu = 1.25e7: table refused
     _simulate("uniform:m=1", 1, 1_000_000, 3, 1),
-    # no --seed: argparse's usage error
+    # argparse's usage errors: no --seed, no command, an unknown command, a
+    # subcommand without its required flags and one with an unknown flag
     ("simulate", "--dist", "uniform:m=2", "--balls", "4", "--capacity", "1", "--reps", "3"),
+    (),
+    ("bogus",),
+    ("exact",),
+    ("exact", "--bogus"),
 )
 
 
