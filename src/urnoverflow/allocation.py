@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import BoxDistribution
+from .distributions import BoxDistribution, _size
 
 __all__ = [
     "run_trial",
@@ -40,8 +40,7 @@ def overflow_stats(balls: np.ndarray, r: int) -> tuple[int, int, int]:
 
     V = V_r, L = V_{r-1} - V_r and M = V_{r-1} - 2 V_r + V_{r+1}.
     """
-    if r < 1:
-        raise ValueError("capacity r must be >= 1")
+    r = _size("capacity r", r)
     return _sorted_stats(np.sort(balls), r)
 
 
@@ -101,8 +100,5 @@ def count_draw(keys: np.ndarray, r: int, check: bool) -> tuple[int, int, int]:
 def run_trial(dist: BoxDistribution, n: int, r: int,
               rng: np.random.Generator) -> tuple[int, int, int]:
     """(V, L, M) of n balls drawn from dist, checked against the count route."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r < 1:
-        raise ValueError("capacity r must be >= 1")
+    n, r = _size("n", n), _size("capacity r", r)
     return count_draw(dist.sample(rng, n), r, check=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BoxDistribution
+from .distributions import BoxDistribution, _size
 
 __all__ = [
     "RegimeReport",
@@ -60,8 +60,7 @@ def _classify(n_p_star: float, scaled_moment: float) -> str:
 
 def regime_report(dist: BoxDistribution, n: int, r: int) -> RegimeReport:
     """Diagnostics for the instance: n*p*, n^(r+1)*E p^r, mu, variance bracket."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, r = _size("n", n), _size("moment order r", r)
     nps = n * dist.p_star()
     pm = dist.power_moment(r)
     try:
@@ -97,11 +96,15 @@ def regime_report(dist: BoxDistribution, n: int, r: int) -> RegimeReport:
 def poisson_pmf(mu: float, k: int) -> float:
     """e^(-mu) mu^k / k! by Loader's saddle point (_pmf_terms); Pois(0) is the
     point mass at 0."""
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
-    if k < 0:
+    _check_mu(mu)
+    if _size("k", k, None) < 0:
         return 0.0
     return float(_pmf_terms(k, mu=mu))
+
+
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
 
 
 # ---------------------------------------------------------------------------

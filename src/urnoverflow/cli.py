@@ -86,23 +86,23 @@ def cmd_simulate(args) -> int:
     if args.preset:
         for flag, val in given.items():
             if val is not None:
-                raise UsageError(f"{flag} cannot be combined with --preset")
+                raise ValueError(f"{flag} cannot be combined with --preset")
         p = _scaled_preset(args.preset, 1.0 if args.scale is None else args.scale)
         given = {"--dist": (f"uniform:m={p['m']}" if p["kind"] == "uniform"
                             else f"geometric:p={p['p']!r}"),
                  "--balls": p["n"], "--capacity": p["r"], "--reps": p["reps"]}
         preset_note = p["note"]
     elif args.scale is not None:
-        raise UsageError("--scale applies only to --preset")
+        raise ValueError("--scale applies only to --preset")
     for flag, val in given.items():
         if val is None:
-            raise UsageError(f"{flag} is required without --preset")
+            raise ValueError(f"{flag} is required without --preset")
     dist_spec, n, r, reps = given.values()
     dist = parse_dist_spec(dist_spec)
 
     collect = tuple(c.upper() for c in args.collect.split(","))
     if not set(collect) <= {"V", "L", "M"} or len(set(collect)) < len(collect):
-        raise UsageError(f"collect must be a non-empty subset of V,L,M without "
+        raise ValueError(f"collect must be a non-empty subset of V,L,M without "
                          f"repeats, got {collect}")
     config = ExperimentConfig(dist=dist, n=n, r=r, reps=reps, seed=args.seed,
                               identity_checks=args.identity_checks,
@@ -113,7 +113,7 @@ def cmd_simulate(args) -> int:
     if args.gof == "poisson":
         # in the Poisson regime L_r = V_{r-1} - V_r and M_r are both close to V_{r-1}
         if stat != "V" and r == 1:
-            raise UsageError(f"--gof poisson has no limit law for {stat} at capacity 1")
+            raise ValueError(f"--gof poisson has no limit law for {stat} at capacity 1")
         mu = report.mu if stat == "V" else regime_report(dist, n, r - 1).mu
         _poisson_terms(mu)    # an oversized table is refused before any trial runs
     t0 = time.perf_counter()
@@ -195,10 +195,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-class UsageError(Exception):
-    pass
-
-
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommands' parsers by name, built once: parse_args keeps no state."""
@@ -254,7 +250,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,6 +33,17 @@ __all__ = [
 _U_MAX = 1.0 - 2.0**-53
 
 
+def _size(name: str, value, low: int | None = 1) -> int:
+    """The count value (n, r, m, ...) as a Python int, so that no size arithmetic
+    wraps in a narrow numpy dtype; ValueError unless it is an integer, and not
+    a bool, of at least low when low is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Equal probability 1/m on urns 0..m-1."""
@@ -41,10 +52,7 @@ class Uniform:
     finite_support = True
 
     def __post_init__(self):
-        m = self.urn_count
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"urn_count must be a positive integer, got {m!r}")
-        object.__setattr__(self, "urn_count", int(m))     # so that no budget product wraps
+        object.__setattr__(self, "urn_count", _size("urn_count", self.urn_count))
 
     @property
     def support_size(self):
@@ -55,8 +63,7 @@ class Uniform:
 
     def power_moment(self, r: int) -> float:
         # sum over m urns of (1/m)^(r+1) = m^(-r)
-        _check_moment_order(r)
-        return float(self.urn_count) ** (-r)
+        return float(self.urn_count) ** -_size("moment order r", r)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size urn indices, a fresh array the caller owns: the keys of
@@ -98,7 +105,7 @@ class Geometric:
 
     def power_moment(self, r: int) -> float:
         # sum_j (p q^j)^(r+1) = p^(r+1) / (1 - q^(r+1)), summed geometric series
-        _check_moment_order(r)
+        r = _size("moment order r", r)
         p = self.success_prob
         denom = -math.expm1((r + 1) * math.log1p(-p))
         return p ** (r + 1) / denom
@@ -172,8 +179,7 @@ class Custom:
         return float(self.probs.max())
 
     def power_moment(self, r: int) -> float:
-        _check_moment_order(r)
-        return float(np.sum(self.probs ** (r + 1)))
+        return float(np.sum(self.probs ** (_size("moment order r", r) + 1)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size urn indices, a fresh array the caller owns."""
@@ -228,11 +234,6 @@ def _pcg64_keys(bits: np.random.PCG64, m: int, size: int) -> np.ndarray:
     # x * m < 2**53 and m * 2**-32 is exact, so the float product is exact
     # and the cast's truncation is floor(x * m / 2**32)
     return (x * (m * 2.0**-32)).astype(np.int32)
-
-
-def _check_moment_order(r):
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"moment order r must be a positive integer, got {r!r}")
 
 
 def parse_dist_spec(spec: str) -> BoxDistribution:

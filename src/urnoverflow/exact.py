@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _pmf_terms
-from .distributions import BoxDistribution
+from .distributions import BoxDistribution, _size
 
 __all__ = [
     "BudgetExceededError",
@@ -97,8 +97,7 @@ def _tail_sum(n: int, p: np.ndarray, r: int, g0: float, g1: float) -> np.ndarray
 
 def binomial_tail(k: int, p: float, r: int) -> float:
     """P(Bin(k, p) >= r), the g = 1 case of _tail_sum."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k, r = _size("k", k, 0), _size("r", r, None)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     if r <= 0:
@@ -120,9 +119,8 @@ def _urns(dist: BoxDistribution, n: int, r: int, size: int):
     instances, whose pins the exact integer oracle contradicts, stay refused.
     Geometric urn j's bound n (n p_j)^r / r! falls by rho = q^r per
     urn, so the first urn below GEOMETRIC_CUTOFF times the bounds before it is
-    the least j >= 1 with rho^j < CUT/(1 - rho + CUT)."""
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be >= 1")
+    the least j >= 1 with rho^j < CUT/(1 - rho + CUT).  n and r are the
+    ints the mean routes took through _size."""
     if n <= r:
         return ()
     if dist.finite_support:
@@ -149,6 +147,7 @@ def exact_mean_overflow(dist: BoxDistribution, n: int, r: int) -> float:
     """E V_{n,r} = sum_m E(N_m - r)^+ with N_m = Bin(n, p_m), the g(k) = k - r
     case of _tail_sum over the urns in blocks of at most GRID_CELLS row cells;
     an urn with p = 1 gives n - r through its row 0, ..., 0, 1."""
+    n, r = _size("n", n), _size("r", r)
     blocks = _urns(dist, n, r, max(1, GRID_CELLS // (min(n, r + _tail_span(r)) + 1)))
     return sum((float(_tail_sum(n, p, r, -r, 1) @ mult) for p, mult in blocks), 0.0)
 
@@ -161,6 +160,7 @@ def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:
     tails precise.  Subtracting terms of size n p from a mean of size
     (n p)^(r+1) leaves a relative floor where n p is small: 2.3e-7 against the
     exact rational on Uniform(1000), n = 60, r = 5, and 6.1e-5 at n = 17."""
+    n, r = _size("n", n), _size("r", r)
     i = np.arange(r)
     total = 0.0
     for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // r)):
@@ -200,8 +200,7 @@ def exact_distribution(dist: BoxDistribution, n: int, r: int) -> ExactDistributi
     STEP_CELLS cells an urn."""
     if not dist.finite_support:
         raise ValueError("exact_distribution requires a finite-support distribution")
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be >= 1")
+    n, r = _size("n", n), _size("r", r)
     s = dist.support_size
     top = min(n, s * r)
     if s * ((n + 1) ** 2 * (top + 1) + STEP_CELLS) > ORACLE_BUDGET:
@@ -245,6 +244,8 @@ def nod_joint_table(dist: BoxDistribution, n: int, k: int, l: int,
     with p1, by (0, +1) with p2 and leaves it with 1 - p1 - p2; each later
     ball moves it by (0, +1) with p2.  ORACLE_BUDGET caps the (l-1)(l+1)^2
     cells updated."""
+    n, k, l, m1, m2 = (_size(name, v, None) for name, v in
+                       (("n", n), ("k", k), ("l", l), ("m1", m1), ("m2", m2)))
     if m1 == m2:
         raise ValueError("m1 and m2 must be distinct urns")
     if not (1 <= k <= l <= n + 1):
@@ -276,8 +277,8 @@ def nod_check(dist: BoxDistribution, n: int, k: int, l: int,
     marginals, all read from nod_joint_table's law: the joint at [x1, x2],
     the two marginals at [x1, 0] and [0, x2]."""
     table = nod_joint_table(dist, n, k, l, m1, m2)
-    x1 = min(max(x1, 0), table.shape[0] - 1)
-    x2 = min(max(x2, 0), table.shape[1] - 1)
+    x1 = min(max(_size("x1", x1, None), 0), table.shape[0] - 1)
+    x2 = min(max(_size("x2", x2, None), 0), table.shape[1] - 1)
     joint = float(table[x1, x2])
     product = float(table[x1, 0] * table[0, x2])
     return joint, product, joint <= product + 1e-12

@@ -28,7 +28,7 @@ import numpy as np
 
 # streaming_overflow is unused here; benchmark/tracing.py patches it by name
 from .allocation import count_draw, streaming_overflow  # noqa: F401
-from .distributions import BoxDistribution
+from .distributions import BoxDistribution, _size
 from .stats import EmpiricalSummary
 
 __all__ = ["ExperimentConfig", "run_experiment", "trial_rng"]
@@ -48,21 +48,12 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        # numpy integers are kept as Python ints, so that no size arithmetic
-        # wraps in a narrow dtype
-        for name in ("n", "r", "reps", "seed", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n < 1 or self.r < 1 or self.reps < 1:
-            raise ValueError("n, r and reps must all be >= 1")
+        for name, low in (("n", 1), ("r", 1), ("reps", 1), ("seed", 0), ("threads", 1)):
+            object.__setattr__(self, name, _size(name, getattr(self, name), low))
         if self.reps > MAX_TRIALS:
             raise ValueError(f"reps must be <= 2**32, got {self.reps}")
-        if not 0 <= self.seed < 2**64:
+        if self.seed >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

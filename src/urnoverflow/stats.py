@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _pmf_terms
+from .asymptotics import _check_mu, _pmf_terms
 
 __all__ = [
     "EmpiricalSummary",
@@ -58,6 +58,7 @@ def _poisson_terms(mu: float) -> tuple[int, np.ndarray, float]:
     1 - POISSON_TAIL_TOL, or at most to ceil(mu + 12 sqrt(mu) + 40), beyond
     which Bernstein's inequality leaves less than 1e-26 of the mass: summed pmf
     terms of a large mu can stop short of 1 - POISSON_TAIL_TOL by rounding alone."""
+    _check_mu(mu)
     bound = math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)
     if bound >= 10_000_000:
         raise ValueError(f"the Poisson table for mu = {mu!r} would run to k = {bound} >= 10^7")

@@ -101,6 +101,23 @@ def test_predict_without_balls_is_usage_error(balls, capsys):
     assert "n must be >= 1" in err
 
 
+_SIM = ["simulate", "--dist", "uniform:m=10", "--balls", "5", "--capacity", "1",
+        "--reps", "3", "--seed", "1"]
+_EXA = ["exact", "--dist", "uniform:m=10", "--balls", "5", "--capacity", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_SIM, "--balls", "0"], "n must be >= 1, got 0"),
+    ([*_SIM, "--seed", "-1"], "seed must be >= 0, got -1"),
+    ([*_EXA, "--balls", "0"], "n must be >= 1, got 0"),
+    (["predict", "--dist", "uniform:m=10", "--balls", "5", "--capacity", "0"],
+     "moment order r must be >= 1, got 0"),
+], ids=["simulate balls 0", "simulate seed -1", "exact balls 0", "predict capacity 0"])
+def test_a_size_below_its_floor_names_the_argument(argv, message, capsys):
+    # the last of a repeated flag is the one argparse keeps
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_gof_poisson_fit_block(capsys):
     code, out, _ = run_cli(["simulate", "--dist", "uniform:m=2000", "--balls", "100",
                             "--capacity", "1", "--reps", "2000", "--seed", "11",

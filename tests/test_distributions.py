@@ -211,14 +211,15 @@ def test_custom_rejects_bad_weights(bad):
 
 
 @pytest.mark.parametrize("call, args, error, message", [
-    (Uniform, (0,), ValueError, "urn_count must be a positive integer"),
-    (Uniform, (-3,), ValueError, "urn_count must be a positive integer"),
-    (Uniform, (2.0,), ValueError, "urn_count must be a positive integer"),
-    (Uniform, (True,), ValueError, "urn_count must be a positive integer"),
+    (Uniform, (0,), ValueError, "^urn_count must be >= 1, got 0$"),
+    (Uniform, (-3,), ValueError, "^urn_count must be >= 1, got -3$"),
+    (Uniform, (2.0,), ValueError, r"^urn_count must be an integer, got 2\.0$"),
+    (Uniform, (True,), ValueError, "^urn_count must be an integer, got True$"),
     (setattr, (Custom([1, 3]), "probs", None), AttributeError, "immutable"),
-    (Uniform(4).power_moment, (0,), ValueError, "moment order r must be a positive integer"),
-    (Geometric(0.5).power_moment, (1.0,), ValueError, "moment order r must be a positive integer"),
-    (Custom([1, 3]).power_moment, (-1,), ValueError, "moment order r must be a positive integer"),
+    (Uniform(4).power_moment, (0,), ValueError, "^moment order r must be >= 1, got 0$"),
+    (Geometric(0.5).power_moment, (1.0,), ValueError,
+     r"^moment order r must be an integer, got 1\.0$"),
+    (Custom([1, 3]).power_moment, (-1,), ValueError, "^moment order r must be >= 1, got -1$"),
 ], ids=["uniform m=0", "uniform m=-3", "uniform m=2.0", "uniform m=True", "custom setattr",
         "uniform r=0", "geometric r=1.0", "custom r=-1"])
 def test_distribution_checks(call, args, error, message):

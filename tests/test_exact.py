@@ -507,11 +507,11 @@ def test_nod_check_validation():
     (binomial_tail, (3, -0.1, 1), "p must lie in"),
     (binomial_tail, (3, 1.5, 1), "p must lie in"),
     (binomial_tail, (3, math.nan, 1), "p must lie in"),
-    (exact._urns, (Uniform(2), 0, 1, 1), "n and r must be >= 1"),
-    (exact._urns, (Uniform(2), 3, 0, 1), "n and r must be >= 1"),
-    (exact_mean_overflow, (Geometric(0.5), 0, 1), "n and r must be >= 1"),
-    (exact_distribution, (Uniform(2), 0, 1), "n and r must be >= 1"),
-    (exact_distribution, (Uniform(2), 3, 0), "n and r must be >= 1"),
+    (exact_mean_via_counts, (Uniform(2), 0, 1), "^n must be >= 1, got 0$"),
+    (exact_mean_via_counts, (Uniform(2), 3, 0), "^r must be >= 1, got 0$"),
+    (exact_mean_overflow, (Geometric(0.5), 0, 1), "^n must be >= 1, got 0$"),
+    (exact_distribution, (Uniform(2), 0, 1), "^n must be >= 1, got 0$"),
+    (exact_distribution, (Uniform(2), 3, 0), "^r must be >= 1, got 0$"),
     (nod_joint_table, (Geometric(0.5), 4, 2, 3, 0, 1), "requires a finite support"),
     (nod_joint_table, (Uniform(3), 4, 2, 3, 0, 3), "urn index outside the support"),
     (nod_joint_table, (Uniform(3), 4, 2, 3, -1, 1), "urn index outside the support"),

@@ -192,6 +192,14 @@ def test_poisson_table_refuses_a_bound_of_1e7_or_more():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("fit", [tv_distance_poisson, chi_square_poisson])
+def test_fits_refuse_a_mean_that_is_no_poisson_mean(fit, mu):
+    # refused as poisson_pmf refuses it, not by math.sqrt, ceil or float overflow
+    with pytest.raises(ValueError, match=f"^mu must be finite and >= 0, got {mu!r}$"):
+        fit(EmpiricalSummary.from_histogram({0: 30, 1: 30}), mu)
+
+
 def test_chi_square_near_zero_for_proportional_histogram():
     s = EmpiricalSummary.from_histogram(_poisson_histogram(1.5, 10**7))
     statistic, dof = chi_square_poisson(s, 1.5)

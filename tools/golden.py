@@ -120,6 +120,11 @@ ARGVS = (
     _simulate("geometric:p=1e-300", 10, 1, 3, 1, "--gof", "poisson"),
     _simulate("uniform:m=1", 5000, 1, 3, 1, "--gof", "poisson"),    # mu = 1.25e7: table refused
     _simulate("uniform:m=1", 1, 1_000_000, 3, 1),
+    # a count below its floor, refused with exit 2 by the one size rule
+    _simulate("uniform:m=10", 0, 1, 3, 1),
+    _simulate("uniform:m=10", 5, 1, 3, -1),
+    _exact("uniform:m=10", 0, 1),
+    _predict("uniform:m=10", 5, 0),
     # argparse's usage errors: no --seed, no command, an unknown command, a
     # subcommand without its required flags and one with an unknown flag
     ("simulate", "--dist", "uniform:m=2", "--balls", "4", "--capacity", "1", "--reps", "3"),
