@@ -16,9 +16,9 @@ Only equality of urn indices matters, so the kernel sorts the keys it is
 given; the samplers already draw them as int32 whenever every index fits.
 The kernel has two halves: the sort, and the count on sorted keys
 (``_sorted_stats``).  ``overflow_stats`` sorts a copy, and
-``streaming_overflow`` is its V; ``count_draw`` is the trial pipeline shared
-by ``run_trial`` and the Monte Carlo loop, which own their fresh draws, so it
-sorts the keys in place before counting them.
+``streaming_overflow`` is its V; ``run_trial`` is the one trial pipeline, the
+Monte Carlo loop's too: it owns its fresh draw, so it sorts the keys in place
+before counting them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .distributions import BoxDistribution, _size
 
 __all__ = [
     "run_trial",
-    "count_draw",
     "overflow_stats",
     "streaming_overflow",
 ]
@@ -87,18 +86,14 @@ def _check_by_counts(s: np.ndarray, r: int, stats: tuple[int, int, int]) -> None
             f"(V, L, M) mismatch: sort-and-shift={stats} count route={by_counts}")
 
 
-def count_draw(keys: np.ndarray, r: int, check: bool) -> tuple[int, int, int]:
-    """(V, L, M) at capacity r >= 1 of a fresh draw the caller owns, sorted in
-    place; with check, confirmed by the count route."""
+def run_trial(dist: BoxDistribution, n: int, r: int, rng: np.random.Generator,
+              check: bool = True) -> tuple[int, int, int]:
+    """(V, L, M) of n balls drawn from dist, sorted in place; with check,
+    confirmed by the count route."""
+    n, r = _size("n", n), _size("capacity r", r)
+    keys = dist.sample(rng, n)
     keys.sort()
     stats = _sorted_stats(keys, r)
     if check:
         _check_by_counts(keys, r, stats)
     return stats
-
-
-def run_trial(dist: BoxDistribution, n: int, r: int,
-              rng: np.random.Generator) -> tuple[int, int, int]:
-    """(V, L, M) of n balls drawn from dist, checked against the count route."""
-    n, r = _size("n", n), _size("capacity r", r)
-    return count_draw(dist.sample(rng, n), r, check=True)

@@ -13,7 +13,7 @@ splits the trials into spans, counts each span's (V, L, M) triples (a
 single span on the calling thread, several on a thread pool) and merges
 the counts, an order-insensitive integer sum, so results are bit-identical
 for any thread count.  With identity_checks, the count route confirms each
-trial's (V, L, M) on its sorted draw (``allocation.count_draw``).
+trial's (V, L, M) on its sorted draw (``allocation.run_trial``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .allocation import run_trial
 # streaming_overflow is unused here; benchmark/tracing.py patches it by name
-from .allocation import count_draw, streaming_overflow  # noqa: F401
+from .allocation import streaming_overflow  # noqa: F401
 from .distributions import BoxDistribution, _size
 from .stats import EmpiricalSummary
 
@@ -59,7 +60,8 @@ class ExperimentConfig:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The deterministic random stream of trial i under the given seed:
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial,)))``."""
-    if not (0 <= seed < 2**64 and 0 <= trial < MAX_TRIALS):
+    seed, trial = _size("seed", seed, 0), _size("trial", trial, 0)
+    if not (seed < 2**64 and trial < MAX_TRIALS):
         raise ValueError(f"need 0 <= seed < 2**64 and 0 <= trial < 2**32, "
                          f"got seed={seed}, trial={trial}")
     block, row = divmod(trial, BLOCK)
@@ -119,11 +121,6 @@ def _block_words(seed: int, block: int) -> np.ndarray:
     return words
 
 
-def _trial_stats(cfg: ExperimentConfig, trial: int) -> tuple[int, int, int]:
-    keys = cfg.dist.sample(trial_rng(cfg.seed, trial), cfg.n)
-    return count_draw(keys, cfg.r, cfg.identity_checks)
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run config.reps independent trials; map each of V, L, M -> its summary."""
     chunk = -(-config.reps // config.threads)
@@ -131,7 +128,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
              for lo in range(0, config.reps, chunk)]
 
     def count_span(span):
-        return Counter(_trial_stats(config, t) for t in span)
+        return Counter(run_trial(config.dist, config.n, config.r,
+                                 trial_rng(config.seed, t), config.identity_checks)
+                       for t in span)
 
     if len(spans) == 1:
         triples = count_span(spans[0])

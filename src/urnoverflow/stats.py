@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _check_mu, _pmf_terms
+from .distributions import _size
 
 __all__ = [
     "EmpiricalSummary",
@@ -36,7 +37,8 @@ class EmpiricalSummary:
 
     @classmethod
     def from_histogram(cls, histogram) -> "EmpiricalSummary":
-        hist = {int(k): int(v) for k, v in sorted(histogram.items())}
+        hist = {_size("histogram value", k, None): _size("histogram count", v, 0)
+                for k, v in sorted(histogram.items())}
         reps = sum(hist.values())
         if reps < 1:
             raise ValueError("empty histogram")

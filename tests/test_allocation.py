@@ -1,10 +1,12 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from urnoverflow import allocation
 from urnoverflow.allocation import (_check_by_counts, overflow_stats, run_trial,
                                     streaming_overflow)
 from urnoverflow.distributions import Custom, Geometric, Uniform
@@ -194,11 +196,39 @@ def test_outcome_invariants_randomized():
     (Geometric(1e-9), np.float64), (Custom([3, 2, 1] * 50), np.int32),
 ])
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_run_trial_is_the_kernel_on_the_same_draw(dist, keys, r):
+@pytest.mark.parametrize("check", [True, False])
+def test_run_trial_is_the_kernel_on_the_same_draw(dist, keys, r, check):
     for seed in range(3):
         balls = dist.sample(np.random.default_rng(seed), 2_000)
         assert balls.dtype == keys
-        assert run_trial(dist, 2_000, r, np.random.default_rng(seed)) == overflow_stats(balls, r)
+        drawn = []
+
+        def sample(rng, n):
+            drawn.append(dist.sample(rng, n))
+            return drawn[-1]
+
+        recording = SimpleNamespace(sample=sample)
+        got = run_trial(recording, 2_000, r, np.random.default_rng(seed), check)
+        assert got == overflow_stats(balls, r)
+        # the trial sorts its own draw in place, with or without the check
+        np.testing.assert_array_equal(drawn[0], np.sort(balls))
+
+
+@pytest.mark.parametrize("wrong", "VLM")
+def test_run_trial_check_alone_catches_a_kernel_fault(monkeypatch, wrong):
+    true_sorted_stats = allocation._sorted_stats
+
+    def off_by_one(s, r):
+        stats = list(true_sorted_stats(s, r))
+        stats["VLM".index(wrong)] += 1
+        return tuple(stats)
+
+    monkeypatch.setattr(allocation, "_sorted_stats", off_by_one)
+    args = (Uniform(40), 60, 2)
+    with pytest.raises(AssertionError, match=r"count route=\("):
+        run_trial(*args, np.random.default_rng(3), check=True)
+    balls = np.sort(Uniform(40).sample(np.random.default_rng(3), 60))
+    assert run_trial(*args, np.random.default_rng(3), check=False) == off_by_one(balls, 2)
 
 
 def test_count_route_check_names_both_triples():

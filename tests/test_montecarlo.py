@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnoverflow import allocation, montecarlo
-from urnoverflow.allocation import overflow_stats
+from urnoverflow.allocation import overflow_stats, run_trial
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import exact_distribution
-from urnoverflow.montecarlo import (ExperimentConfig, _trial_stats, run_experiment,
-                                    trial_rng)
+from urnoverflow.montecarlo import ExperimentConfig, run_experiment, trial_rng
 
 from oracles import batch_overflows, seedsequence_rng
 
@@ -264,6 +263,11 @@ def test_pinned_histograms(dist, n, r, reps, checks, digest):
     assert hashlib.sha256(json.dumps(hists, sort_keys=True).encode()).hexdigest() == digest
 
 
+def _loop_trial(cfg, trial):
+    """Trial `trial` of cfg, as run_experiment's span loop runs it."""
+    return run_trial(cfg.dist, cfg.n, cfg.r, trial_rng(cfg.seed, trial), cfg.identity_checks)
+
+
 @pytest.mark.parametrize("dist,dtype", [(Uniform(25_118), np.int32),
                                         (Geometric(FIG2_P), np.int32),
                                         (Geometric(1e-9), np.float64),
@@ -275,7 +279,7 @@ def test_in_place_trial_equals_the_copying_kernel(dist, dtype, r):
         balls = dist.sample(trial_rng(cfg.seed, trial), cfg.n)
         before = balls.copy()
         assert balls.dtype == dtype
-        assert _trial_stats(cfg, trial) == overflow_stats(balls, r)
+        assert _loop_trial(cfg, trial) == overflow_stats(balls, r)
         np.testing.assert_array_equal(balls, before)
 
 
@@ -294,7 +298,7 @@ def test_float_geometric_keys_count_as_their_int64_floors(p, r):
         assert keys.dtype == np.float64
         np.testing.assert_array_equal(keys.astype(np.int64), floors)
         triples.append(overflow_stats(floors, r))
-        assert _trial_stats(cfg, trial) == triples[-1]
+        assert _loop_trial(cfg, trial) == triples[-1]
     out = run_experiment(cfg)
     for i, name in enumerate("VLM"):
         assert out[name].histogram == dict(Counter(t[i] for t in triples))
@@ -306,9 +310,9 @@ def test_fig2_trials_take_no_fresh_pages():
     # faulted in again: about 456 minor faults per fig2 trial
     resource = pytest.importorskip("resource")
     cfg = ExperimentConfig(dist=Geometric(FIG2_P), n=100_000, r=3, reps=21, seed=3)
-    _trial_stats(cfg, 0)
+    _loop_trial(cfg, 0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for trial in range(1, cfg.reps):
-        _trial_stats(cfg, trial)
+        _loop_trial(cfg, trial)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / (cfg.reps - 1) < 100

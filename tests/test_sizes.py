@@ -12,6 +12,8 @@ from urnoverflow import (BudgetExceededError, Custom, ExperimentConfig, Geometri
                          Uniform, binomial_tail, exact_distribution, exact_mean_overflow,
                          exact_mean_via_counts, nod_check, nod_joint_table, overflow_stats,
                          poisson_pmf, regime_report, run_experiment, run_trial)
+from urnoverflow.montecarlo import trial_rng
+from urnoverflow.stats import EmpiricalSummary
 
 
 def _experiment(**sizes):
@@ -49,6 +51,12 @@ SIZED = [
     (_trial, dict(n=20, r=2), "n", "n", 1),
     (_trial, dict(n=20, r=2), "r", "capacity r", 1),
     (lambda k: poisson_pmf(2.0, k), dict(k=3), "k", "k", None),
+    *((lambda seed, trial: trial_rng(seed, trial).random(), dict(seed=7, trial=3), arg, arg, 0)
+      for arg in ("seed", "trial")),
+    (lambda value, count: EmpiricalSummary.from_histogram({0: 4, value: count}),
+     dict(value=3, count=2), "value", "histogram value", None),
+    (lambda value, count: EmpiricalSummary.from_histogram({0: 4, value: count}),
+     dict(value=3, count=2), "count", "histogram count", 0),
 ]
 
 
@@ -96,6 +104,14 @@ def test_a_numpy_ball_count_is_refused_as_an_int_is(dist, n):
     (lambda: binomial_tail(10.0, 0.5, 2), "k must be an integer, got 10.0"),
     (lambda: exact_mean_overflow(Uniform(3), 10.5, 2), "n must be an integer, got 10.5"),
     (lambda: poisson_pmf(2.0, 1.5), "k must be an integer, got 1.5"),
+    # taken before: seed True as seed 1, seed 1.5 as a TypeError, a count of
+    # 2.7 as 2 and the value True as 1
+    (lambda: trial_rng(True, 0), "seed must be an integer, got True"),
+    (lambda: trial_rng(1.5, 0), "seed must be an integer, got 1.5"),
+    (lambda: EmpiricalSummary.from_histogram({0: 2.7, 1.9: 1}),
+     "histogram count must be an integer, got 2.7"),
+    (lambda: EmpiricalSummary.from_histogram({True: 3}),
+     "histogram value must be an integer, got True"),
 ])
 def test_a_count_that_is_no_integer_is_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
