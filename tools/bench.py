@@ -4,8 +4,9 @@
     python tools/bench.py --out PATH      # writes PATH instead
 
 It runs ``benchmark/run.py`` unchanged, from the repository root, on every
-workload that BENCHMARK.json declares, at ``--seed 1 --seconds 25`` (see
-``--seconds``), once with ``--trace 0`` and once with ``--trace 1``.  For each
+workload that BENCHMARK.json declares, at ``--seed 1 --seconds 25``, once
+with ``--trace 0`` and once with ``--trace 1``; the seed and the seconds are
+fixed so that every BENCH_<n>.json can be compared with BENCH_0.json.  For each
 run it keeps the last stdout line (the result JSON) and the provenance of the
 record file ``benchmark/out/result-<workload>-seed1-trace<t>.json``.  It then
 adds the one-shot timings the workloads lack:
@@ -14,14 +15,15 @@ adds the one-shot timings the workloads lack:
   at nproc threads, as a subprocess: wall time including the import, and the
   sha256 of stdout;
 - ``exact`` on the fig4 instance, in this process through ``cli.main``:
-  five calls and their median;
+  five calls and their median (the first also fills ``cli``'s caches);
 - the Tier-1 run (``python -m pytest -q --continue-on-collection-errors``):
   wall time and its passed and failed counts.
 
 The file also records the commit and whether the tree had uncommitted
 changes.  The tool patches nothing and writes nothing under benchmark/ but
 what run.py itself writes to benchmark/out/.  It exits 1 if any run reports
-``"correct": false`` or any preset's output differs between thread counts.
+``"correct": false``, any preset's output differs between thread counts, or
+the Tier-1 run fails or has errors.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SEED = 1
+SECONDS = 25.0
 PRESETS = ("fig1", "fig2", "fig3", "fig4")
 FIG4_EXACT = ("exact", "--dist", "geometric:p=0.0001", "--balls", "10000",
               "--capacity", "4", "--no-timing")
@@ -58,10 +61,10 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def benchmark_run(workload: str, trace: int, seconds: float) -> dict:
+def benchmark_run(workload: str, trace: int) -> dict:
     """One benchmark/run.py run: its result line and its record's provenance."""
     argv = (sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED),
-            "--seconds", repr(seconds), "--trace", str(trace))
+            "--seconds", repr(SECONDS), "--trace", str(trace))
     t0 = time.perf_counter()
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -87,7 +90,7 @@ def preset_run(preset: str, threads: int) -> dict:
 
 
 def fig4_exact() -> dict:
-    """Five in-process ``exact`` calls on fig4; the first pays the import."""
+    """Five in-process ``exact`` calls on fig4; the first also fills ``cli``'s caches."""
     sys.path.insert(0, str(SRC))
     from urnoverflow import cli
 
@@ -127,8 +130,6 @@ def next_path() -> Path:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=25.0,
-                        help="benchmark/run.py --seconds for every run")
     parser.add_argument("--out", type=Path, default=None,
                         help="output file (default: the next free BENCH_<n>.json)")
     args = parser.parse_args(argv)
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
     for workload in workloads:
         for trace in (0, 1):
             print(f"# {workload} --trace {trace}", file=sys.stderr, flush=True)
-            runs.append(benchmark_run(workload, trace, args.seconds))
+            runs.append(benchmark_run(workload, trace))
     presets = {}
     for preset in PRESETS:
         print(f"# simulate --preset {preset}", file=sys.stderr, flush=True)
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
     report = {
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no")),
-        "seed": SEED, "seconds": args.seconds, "nproc": nproc,
+        "seed": SEED, "seconds": SECONDS, "nproc": nproc,
         "runs": runs, "presets": presets, "exact_fig4": exact, "tier1": tests,
     }
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -168,6 +169,8 @@ def main(argv=None) -> int:
              for r in runs if r["result"]["correct"] is not True]
     wrong += [f"preset {p} differs between thread counts"
               for p, v in presets.items() if not v["same_stdout"]]
+    if tests["exit_code"] != 0 or tests["failed"] + tests["errors"] > 0:
+        wrong.append(f"Tier-1 exited {tests['exit_code']}: {tests['summary']}")
     for what in wrong:
         print(f"error: {what}", file=sys.stderr)
     return 1 if wrong else 0
