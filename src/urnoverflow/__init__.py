@@ -7,14 +7,14 @@ count M, with diagnostics for the Poisson and normal limit regimes.
 
 __version__ = "0.1.0"
 
-from .allocation import overflow_stats, run_trial, streaming_overflow
 from .asymptotics import RegimeReport, poisson_pmf, regime_report
 from .distributions import (BoxDistribution, Custom, Geometric, Uniform,
                             parse_dist_spec)
 from .exact import (BudgetExceededError, ExactDistribution, binomial_tail,
                     exact_distribution, exact_mean_overflow,
                     exact_mean_via_counts, nod_check, nod_joint_table)
-from .montecarlo import ExperimentConfig, run_experiment
+from .montecarlo import (ExperimentConfig, overflow_stats, run_experiment, run_trial,
+                         streaming_overflow)
 from .stats import EmpiricalSummary, chi_square_poisson, ks_normal, tv_distance_poisson
 
 __all__ = [

@@ -61,6 +61,10 @@ def _classify(n_p_star: float, scaled_moment: float) -> str:
 def regime_report(dist: BoxDistribution, n: int, r: int) -> RegimeReport:
     """Diagnostics for the instance: n*p*, n^(r+1)*E p^r, mu, variance bracket."""
     n, r = _size("n", n), _size("moment order r", r)
+    # below 2**1000 the floats n p*, (r+1) log n and lgamma(r+2) stay finite
+    for name, value in (("n", n), ("moment order r", r)):
+        if value.bit_length() > 1000:
+            raise ValueError(f"{name} must be < 2**1000, got {value}")
     nps = n * dist.p_star()
     pm = dist.power_moment(r)
     try:

@@ -53,7 +53,7 @@ def _tail_span(r: int) -> int:
     """Terms of Bin(n, p) past k = r + _tail_span(r) add less than e^-40 of
     the sum from r up, wherever n p < r: each term is at most r/(r+j+1) times
     the one before it, j terms past r."""
-    return math.ceil(9.0 * math.sqrt(r)) + 12
+    return math.isqrt(81 * r - 1) + 13     # ceil(9 sqrt(r)) + 12, for any int r >= 1
 
 
 def _pmf_rows(top: int, *, mu=None, n=None, p=None) -> np.ndarray:
@@ -98,10 +98,14 @@ def _tail_sum(n: int, p: np.ndarray, r: int, g0: float, g1: float) -> np.ndarray
 def binomial_tail(k: int, p: float, r: int) -> float:
     """P(Bin(k, p) >= r), the g = 1 case of _tail_sum."""
     k, r = _size("k", k, 0), _size("r", r, None)
+    if k >= 2**63 - 1:      # _pmf_rows forms k + 1 - i in int64
+        raise ValueError(f"k must be < 2**63 - 1, got {k}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     if r <= 0:
         return 1.0
+    if r > k:
+        return 0.0
     return float(_tail_sum(k, np.array([p]), r, 1.0, 0.0)[0])
 
 
@@ -161,13 +165,12 @@ def exact_mean_via_counts(dist: BoxDistribution, n: int, r: int) -> float:
     (n p)^(r+1) leaves a relative floor where n p is small: 2.3e-7 against the
     exact rational on Uniform(1000), n = 60, r = 5, and 6.1e-5 at n = 17."""
     n, r = _size("n", n), _size("r", r)
-    i = np.arange(r)
     total = 0.0
     for p, mult in _urns(dist, n, r, max(1, GRID_CELLS // r)):
         pmf = _pmf_rows(r - 1, n=n, p=p)
         with np.errstate(divide="ignore"):      # log q = -inf where p = 1: q^n = 0
             tail = -np.expm1(n * np.log1p(-p)) - pmf[:, 1:].sum(axis=1)
-        total += float((n * p - pmf @ i - r * tail) @ mult)
+        total += float((n * p - pmf @ np.arange(r) - r * tail) @ mult)
     return total
 
 

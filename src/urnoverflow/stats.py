@@ -149,8 +149,10 @@ def ks_normal(values, counts) -> float:
     c = np.asarray(counts)
     if x.ndim != 1 or x.shape != c.shape:
         raise ValueError(f"values and counts must be 1-d of one shape, got {x.shape}, {c.shape}")
-    if np.any(c < 0):
-        raise ValueError("counts must be >= 0")
+    if not np.isfinite(x).all():
+        raise ValueError("values must be finite")
+    if np.any(c < 0) or np.any(c % 1 != 0):
+        raise ValueError("counts must be integers >= 0")
     order = np.argsort(x)
     cum = np.cumsum(c[order])
     if cum.size < 1 or cum[-1] < 1:

@@ -18,13 +18,12 @@ import pytest
 from scipy import stats as sps
 
 import urnoverflow
-from urnoverflow.allocation import streaming_overflow
 from urnoverflow.asymptotics import regime_report
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import (binomial_tail, exact_distribution,
                                exact_mean_overflow, exact_mean_via_counts,
                                nod_joint_table)
-from urnoverflow.montecarlo import ExperimentConfig, run_experiment
+from urnoverflow.montecarlo import ExperimentConfig, run_experiment, streaming_overflow
 from urnoverflow.stats import (EmpiricalSummary, chi_square_poisson, ks_normal,
                                tv_distance_poisson)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urnoverflow import allocation
-from urnoverflow.allocation import (_check_by_counts, overflow_stats, run_trial,
+from urnoverflow import montecarlo
+from urnoverflow.montecarlo import (_check_by_counts, overflow_stats, run_trial,
                                     streaming_overflow)
 from urnoverflow.distributions import Custom, Geometric, Uniform
 
@@ -31,7 +31,11 @@ def test_n_equal_r_never_overflows():
     (overflow_stats, (np.arange(3), 0), "capacity r must be >= 1"),
     (run_trial, (Uniform(2), 0, 1, np.random.default_rng(0)), "n must be >= 1"),
     (run_trial, (Uniform(2), 3, 0, np.random.default_rng(0)), "capacity r must be >= 1"),
-], ids=["overflow_stats r=0", "run_trial n=0", "run_trial r=0"])
+    # and a draw that is not 1-d: as rows, [[1, 1], [1, 1]] would count as (2, 2, 0)
+    (overflow_stats, (np.ones((2, 2)), 1), "balls must be 1-d, got shape"),
+    (streaming_overflow, (np.ones((2, 2)), 1), "balls must be 1-d, got shape"),
+], ids=["overflow_stats r=0", "run_trial n=0", "run_trial r=0", "overflow_stats 2-d",
+        "streaming_overflow 2-d"])
 def test_trial_sizes_below_one_are_refused(call, args, message):
     with pytest.raises(ValueError, match=message):
         call(*args)
@@ -95,7 +99,7 @@ def test_kernel_at_the_int32_key_boundary(lo, hi, keys):
     np.testing.assert_array_equal(narrow, balls)
     for r in range(1, 5):
         expected = per_ball_overflow_stats(balls, r)
-        for draw in (balls, narrow):
+        for draw in (balls, narrow, balls.tolist()):
             assert overflow_stats(draw, r) == expected
             assert streaming_overflow(draw, r) == expected[0]
 
@@ -216,14 +220,14 @@ def test_run_trial_is_the_kernel_on_the_same_draw(dist, keys, r, check):
 
 @pytest.mark.parametrize("wrong", "VLM")
 def test_run_trial_check_alone_catches_a_kernel_fault(monkeypatch, wrong):
-    true_sorted_stats = allocation._sorted_stats
+    true_sorted_stats = montecarlo._sorted_stats
 
     def off_by_one(s, r):
         stats = list(true_sorted_stats(s, r))
         stats["VLM".index(wrong)] += 1
         return tuple(stats)
 
-    monkeypatch.setattr(allocation, "_sorted_stats", off_by_one)
+    monkeypatch.setattr(montecarlo, "_sorted_stats", off_by_one)
     args = (Uniform(40), 60, 2)
     with pytest.raises(AssertionError, match=r"count route=\("):
         run_trial(*args, np.random.default_rng(3), check=True)

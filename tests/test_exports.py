@@ -22,11 +22,10 @@ def test_every_exported_name_resolves():
 
 
 def _unused_imports(path):
-    """Module-level imports of the file that are neither used, nor listed in
-    its __all__, nor on a line marked `# noqa: F401`."""
+    """Module-level imports of the file that are neither used nor listed in
+    its __all__."""
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source)
-    lines = source.splitlines()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -37,8 +36,6 @@ def _unused_imports(path):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if any("# noqa: F401" in lines[i] for i in range(node.lineno - 1, node.end_lineno)):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.partition(".")[0]

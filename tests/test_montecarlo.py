@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnoverflow import allocation, montecarlo
-from urnoverflow.allocation import overflow_stats, run_trial
+from urnoverflow import montecarlo
+from urnoverflow.montecarlo import overflow_stats, run_trial
 from urnoverflow.distributions import Custom, Geometric, Uniform
 from urnoverflow.exact import exact_distribution
 from urnoverflow.montecarlo import ExperimentConfig, run_experiment, trial_rng
@@ -92,14 +92,14 @@ def test_one_span_runs_without_a_pool(monkeypatch):
 @pytest.mark.parametrize("wrong", "VLM")
 def test_identity_checks_catch_a_kernel_fault(monkeypatch, wrong, threads):
     # the count route is the only check: it must catch a wrong V, L or M alone
-    true_sorted_stats = allocation._sorted_stats
+    true_sorted_stats = montecarlo._sorted_stats
 
     def off_by_one(s, r):
         stats = list(true_sorted_stats(s, r))
         stats["VLM".index(wrong)] += 1
         return tuple(stats)
 
-    monkeypatch.setattr(allocation, "_sorted_stats", off_by_one)
+    monkeypatch.setattr(montecarlo, "_sorted_stats", off_by_one)
     cfg = dict(dist=Uniform(40), n=60, r=2, reps=50, seed=3, threads=threads)
     with pytest.raises(AssertionError, match=r"count route=\("):
         run_experiment(ExperimentConfig(**cfg, identity_checks=True))
@@ -230,7 +230,7 @@ def test_tv_convergence_rate_to_oracle():
 
 
 def test_batch_overflows_agree_with_streaming_definition():
-    from urnoverflow.allocation import streaming_overflow
+    from urnoverflow.montecarlo import streaming_overflow
     dist, n, r, reps = Custom([1, 1, 2]), 8, 2, 64
     rng1 = np.random.default_rng(44)
     vs = batch_overflows(dist, n, r, reps, rng1)

@@ -118,6 +118,33 @@ def test_a_count_that_is_no_integer_is_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    *((lambda r=r: regime_report(Uniform(10), 5, r), f"moment order r must be < 2**1000, got {r}")
+      for r in (2**1000, 2**1024)),
+    (lambda: regime_report(Uniform(10), 10**400, 1), f"n must be < 2**1000, got {10**400}"),
+    *((lambda k=k: binomial_tail(k, 1e-20, 3), f"k must be < 2**63 - 1, got {k}")
+      for k in (2**63 - 1, 2**63)),
+])
+def test_a_count_too_large_for_float_or_int64_arithmetic_is_refused(call, message):
+    # 2**1024 and 10**400 raised an OverflowError from a float conversion before,
+    # and 2**63 - 1 and 2**63 one from an int64 conversion
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_capacity_past_the_float_range_has_no_overflow():
+    # n <= r: no urn overflows, and no route sizes an array or a float by r
+    r = 10**400
+    assert binomial_tail(5, 0.5, r) == 0.0
+    for route in (exact_mean_overflow, exact_mean_via_counts):
+        assert route(Uniform(10), 5, r) == 0.0
+        assert route(Geometric(0.5), 5, r) == 0.0
+    assert overflow_stats(np.array([3, 3, 3]), r) == (0, 0, 0)
+    # just below their bounds, both refusing routes still answer
+    assert regime_report(Uniform(10), 5, 2**1000 - 1).mu == 0.0
+    assert binomial_tail(2**63 - 2, 1e-20, 3) > 0.0
+
+
 def test_negative_values_keep_their_meaning_where_no_floor_applies():
     assert poisson_pmf(2.0, np.int8(-1)) == 0.0
     assert binomial_tail(4, 0.5, np.int16(-2)) == 1.0

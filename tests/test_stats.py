@@ -272,6 +272,10 @@ def test_ks_normal_reads_any_form_of_one_histogram(seed):
     ([0.0, 1.0], [1], "one shape"),
     ([[0.0]], [[1]], "1-d"),
     ([0.0, 1.0], [2, -1], ">= 0"),
+    ([0.0, 1.0], [1, 1.5], "integers"),
+    ([0.0, 1.0], [1, float("nan")], "integers"),
+    ([float("nan")], [1], "finite"),
+    ([0.0, float("inf")], [1, 1], "finite"),
     ([0.0], [0], "at least one sample"),
     ([], [], "at least one sample"),
 ])

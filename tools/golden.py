@@ -38,6 +38,7 @@ CUSTOM_WEIGHTS = {"w123": (1, 2, 3), "w1124": (1, 1, 2, 4), "w5311": (5, 3, 1, 1
 FIG2 = "geometric:p=1.2926608140191314e-06"
 FIG4 = "geometric:p=0.0001"
 SEED = "20190516"
+HUGE = 10**400          # past the float range
 
 
 def _simulate(dist, n, r, reps, seed, *extra):
@@ -125,6 +126,10 @@ ARGVS = (
     _simulate("uniform:m=10", 5, 1, 3, -1),
     _exact("uniform:m=10", 0, 1),
     _predict("uniform:m=10", 5, 0),
+    # counts past the float range, refused with exit 2 where a float must hold them
+    _predict("uniform:m=10", HUGE, 1),
+    _simulate("uniform:m=10", 5, HUGE, 2, 1),
+    _exact("uniform:m=10", 5, HUGE),
     # argparse's usage errors: no --seed, no command, an unknown command, a
     # subcommand without its required flags and one with an unknown flag
     ("simulate", "--dist", "uniform:m=2", "--balls", "4", "--capacity", "1", "--reps", "3"),
