@@ -1,7 +1,8 @@
 """Command-line surface: simulate / exact / predict.
 
 Standard output carries data only (JSON or CSV); progress and errors go to
-standard error.  Exit codes: 0 success, 2 usage error, 3 budget exceeded.
+standard error.  Exit codes: 0 success, 2 usage error, 3 budget exceeded or
+a draw too large to allocate.
 All randomness flows from an explicit --seed; there is no implicit time seed.
 """
 
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
             else parser.parse_args(argv))
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, MemoryError) as exc:   # a draw too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

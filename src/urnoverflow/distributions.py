@@ -52,7 +52,12 @@ class Uniform:
     finite_support = True
 
     def __post_init__(self):
-        object.__setattr__(self, "urn_count", _size("urn_count", self.urn_count))
+        m = _size("urn_count", self.urn_count)
+        # below 2**1000, 1/m and the power moments stay floats (as n and r in
+        # asymptotics.regime_report)
+        if m.bit_length() > 1000:
+            raise ValueError(f"urn_count must be < 2**1000, got {m}")
+        object.__setattr__(self, "urn_count", m)
 
     @property
     def support_size(self):

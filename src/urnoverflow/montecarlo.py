@@ -34,13 +34,19 @@ splits the trials into spans, counts each span's (V, L, M) triples (a
 single span on the calling thread, several on a thread pool) and merges
 the counts, an order-insensitive integer sum, so results are bit-identical
 for any thread count.
+
+Importing this module loads neither numpy.random nor the thread pool, so
+the commands that draw nothing (exact, predict) pay for neither: numpy.random
+loads on a run's first trial, when ``_block_words`` derives the first block
+of streams and registers ``_Words`` as an ``ISeedSequence`` (a plain class,
+so its definition needs no numpy.random), and ``concurrent.futures`` only
+when a run has more than one span.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,9 +92,10 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Words(_block_words(seed, block)[row])))
 
 
-class _Words(np.random.bit_generator.ISeedSequence):
+class _Words:
     """One trial's precomputed SeedSequence state: the 4 uint64 words PCG64
-    asks for when it is seeded."""
+    asks for when it is seeded.  ``_block_words`` registers it as an
+    ``ISeedSequence`` (module docstring)."""
 
     __slots__ = ("_row",)
 
@@ -117,6 +124,7 @@ def _block_words(seed: int, block: int) -> np.ndarray:
     pool, then generate_state, on uint32 arrays (all arithmetic mod 2**32);
     the pool words are length-1 arrays, so each mix spans the whole block.
     """
+    np.random.bit_generator.ISeedSequence.register(_Words)
     hash_const = _INIT_A * pow(_MULT_A, 16, 1 << 32) & 0xFFFFFFFF
     trials = np.arange(BLOCK, dtype=np.uint32) + np.uint32(block * BLOCK)
     pool = []
@@ -220,6 +228,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if len(spans) == 1:
         triples = count_span(spans[0])
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         triples = Counter()
         # the pool starts a thread per span until max_workers, and threads
         # beyond the CPUs only contend; the spans alone fix the result

@@ -276,33 +276,52 @@ sys.modules["scipy"] = None   # any scipy import now raises ImportError
 from urnoverflow import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code)
+print(code, *sorted({"numpy.random", "concurrent.futures"} & set(sys.modules)))
 """
 
 
-def _code_without_scipy(argv):
+def _run_without_scipy(argv):
     """Exit code of a fresh interpreter in which scipy cannot be imported,
-    that imports urnoverflow.cli and, given argv, runs it."""
+    that imports urnoverflow.cli and, given argv, runs it; and which of
+    numpy.random and concurrent.futures it has loaded by then."""
     src = str(Path(urnoverflow.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded)
 
 
 def test_no_command_loads_scipy():
+    # and only a run's trials load numpy.random, only a run of several spans the pool
     small = ["--dist", "uniform:m=400", "--balls", "40", "--capacity", "1"]
     law = ["--dist", "uniform:m=4", "--balls", "8", "--capacity", "2"]
     fig2 = ["simulate", "--preset", "fig2", "--seed", "1", "--no-timing", "--scale"]
-    for argv in ([], ["predict", *small],
-                 ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "normal"],
-                 ["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "poisson"],
-                 [*fig2, "0.001"], [*fig2, "0.5"],
-                 ["exact", *small], ["exact", *law, "--full-dist"],
-                 ["exact", "--dist", "geometric:p=0.05", "--balls", "200", "--capacity", "2"]):
-        assert _code_without_scipy(argv) == 0, argv
+    drawn, pooled = {"numpy.random"}, {"numpy.random", "concurrent.futures"}
+    for argv, loaded in (
+            ([], set()), (["predict", *small], set()),
+            (["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "normal"], drawn),
+            (["simulate", *small, "--reps", "200", "--seed", "1", "--gof", "poisson"], drawn),
+            (["simulate", *small, "--reps", "200", "--seed", "1", "--threads", "2"], pooled),
+            ([*fig2, "0.001"], drawn), ([*fig2, "0.5"], drawn),
+            (["exact", *small], set()), (["exact", *law, "--full-dist"], set()),
+            (["exact", "--dist", "geometric:p=0.05", "--balls", "200", "--capacity", "2"],
+             set())):
+        assert _run_without_scipy(argv) == (0, loaded), argv
+
+
+@pytest.mark.parametrize("dist,reps,threads", [("uniform:m=10", "1", "1"),
+                                               ("geometric:p=0.5", "2", "2")])   # the pool
+def test_a_draw_too_large_to_allocate_is_a_budget_refusal(dist, reps, threads, capsys):
+    # 10**18 balls need exbibytes, past any host's virtual address space, so
+    # numpy's allocation fails at once
+    code, out, err = run_cli(["simulate", "--dist", dist, "--balls", str(10**18),
+                              "--capacity", "1", "--reps", reps, "--seed", "1",
+                              "--threads", threads], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Unable to allocate ")
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])

@@ -66,7 +66,7 @@ def test_worker_count_is_capped_at_the_cpus(monkeypatch, threads, reps, workers)
         def map(self, fn, spans):
             return map(fn, spans)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     cfg = ExperimentConfig(dist=Uniform(40), n=30, r=2, reps=reps, seed=5, threads=threads)
     out = run_experiment(cfg)
@@ -82,7 +82,7 @@ def test_one_span_runs_without_a_pool(monkeypatch):
         def __init__(self, max_workers):
             raise RuntimeError("no thread pool for a single span")
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", NoPool)
     assert run_experiment(ExperimentConfig(**cfg, threads=1)) == pooled
     with pytest.raises(RuntimeError, match="no thread pool"):
         run_experiment(ExperimentConfig(**cfg, threads=2))

@@ -124,10 +124,12 @@ def test_a_count_that_is_no_integer_is_refused(call, message):
     (lambda: regime_report(Uniform(10), 10**400, 1), f"n must be < 2**1000, got {10**400}"),
     *((lambda k=k: binomial_tail(k, 1e-20, 3), f"k must be < 2**63 - 1, got {k}")
       for k in (2**63 - 1, 2**63)),
+    (lambda: Uniform(10**400), f"urn_count must be < 2**1000, got {10**400}"),
 ])
 def test_a_count_too_large_for_float_or_int64_arithmetic_is_refused(call, message):
-    # 2**1024 and 10**400 raised an OverflowError from a float conversion before,
-    # and 2**63 - 1 and 2**63 one from an int64 conversion
+    # 2**1024 and 10**400 raised an OverflowError from a float conversion before
+    # (an urn count of 10**400 in Uniform.p_star), and 2**63 - 1 and 2**63 one
+    # from an int64 conversion
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 

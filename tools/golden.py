@@ -130,6 +130,14 @@ ARGVS = (
     _predict("uniform:m=10", HUGE, 1),
     _simulate("uniform:m=10", 5, HUGE, 2, 1),
     _exact("uniform:m=10", 5, HUGE),
+    _predict(f"uniform:m={HUGE}", 5, 2),
+    _simulate(f"uniform:m={HUGE}", 5, 2, 2, 1),
+    _exact(f"uniform:m={HUGE}", 5, 2),
+    # draws too large to allocate (10**18 balls need exbibytes, past any
+    # host's virtual address space), refused with exit 3 on one thread and
+    # through the pool
+    _simulate("uniform:m=10", 10**18, 1, 1, 1),
+    _simulate("geometric:p=0.5", 10**18, 1, 2, 1, "--threads", "2"),
     # argparse's usage errors: no --seed, no command, an unknown command, a
     # subcommand without its required flags and one with an unknown flag
     ("simulate", "--dist", "uniform:m=2", "--balls", "4", "--capacity", "1", "--reps", "3"),
